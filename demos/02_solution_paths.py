@@ -43,8 +43,8 @@ for lam, fit in zip(lam_path.tunings, lam_path.fits):
 lam_path.to_csv("path_lambda.csv")
 print("wrote path_lambda.csv")
 
-# --- grid search, if you insist --------------------------------------------
-grid_fit = sc.fit_bar_grid(ds, lam_grid, criterion="bic")
+# --- grid search, if you insist: the BIC argmin along the lambda path -------
+grid_fit = lam_path.fits[int(np.argmin([f.bic for f in lam_path.fits]))]
 print(f"\ngrid-searched lambda = {grid_fit.lam:.3f} "
       f"(BIC {grid_fit.bic:.2f}, df {grid_fit.df}); "
       f"fixed ln(n) = {np.log(ds.n):.3f}")

@@ -18,20 +18,13 @@ from .data import (
     to_original_scale,
     validate,
 )
-from .likelihood import (
-    LinearPredictorState,
-    apply_coord_update,
-    coord_derivatives,
-    full_gradient,
-    init_state,
-    log_partial_likelihood,
-)
-from .solver import FitResult, PenaltySpec, SolverOptions, ccd_minimize, stabilized_coord_step
+from .likelihood import LinearPredictorState
+from .solver import PenaltySpec, SolverOptions, SolverResult, ccd_minimize
 from .bar import (
     BarConfig,
+    BarFit,
     PathResult,
     fit_bar,
-    fit_bar_grid,
     fit_ridge,
     grouping_bound_check,
     information_criteria,
@@ -51,10 +44,9 @@ from .sim import (
 __all__ = [
     "SparseColumnMatrix", "SurvivalDataset", "load_dataset", "save_dataset",
     "standardize", "to_original_scale", "validate",
-    "LinearPredictorState", "init_state", "log_partial_likelihood",
-    "coord_derivatives", "apply_coord_update", "full_gradient",
-    "FitResult", "PenaltySpec", "SolverOptions", "ccd_minimize", "stabilized_coord_step",
-    "BarConfig", "PathResult", "fit_ridge", "fit_bar", "fit_bar_grid",
+    "LinearPredictorState",
+    "SolverResult", "PenaltySpec", "SolverOptions", "ccd_minimize",
+    "BarConfig", "BarFit", "PathResult", "fit_ridge", "fit_bar",
     "information_criteria", "path_over", "grouping_bound_check",
     "ScreenOptions", "ScreenResult", "sjs_screen", "sjs_coxbar",
     "SimScenario", "SelectionMetrics", "MethodConfig", "BenchmarkReport",

@@ -19,33 +19,32 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .solver import PenaltySpec, SolverOptions, FitResult, ccd_minimize
+from .solver import PenaltySpec, SolverOptions, ccd_minimize
 from .likelihood import LinearPredictorState
 from .data import MODE_CENTER_SCALE
 
 __all__ = [
     "BarConfig",
+    "BarFit",
     "PathResult",
     "GroupingReport",
     "fit_ridge",
     "fit_bar",
-    "fit_bar_grid",
     "information_criteria",
     "path_over",
     "grouping_bound_check",
 ]
 
-_LAMBDA_RULES = ("fixed", "bic", "cbic", "grid")
-_CRITERIA = ("aic", "bic", "cbic")
+_LAMBDA_RULES = ("fixed", "bic", "cbic")
 
 
 @dataclass
 class BarConfig:
     """Tuning for the reweighted-ridge outer loop.
 
-    lambda_rule: "bic" (lam = ln n), "cbic" (lam = ln #events), "fixed"
-    (lambda_value), or "grid" (grid-search lambda_grid, keeping the fit
-    that minimizes grid_criterion).  d in [0, 1] trades sparsity for
+    lambda_rule: "bic" (lam = ln n), "cbic" (lam = ln #events) or "fixed"
+    (lambda_value); a lambda search is ``path_over(ds, "lambda", grid)``
+    and an argmin over its fits.  d in [0, 1] trades sparsity for
     recall: weights are lam / |beta|^(2-d), so d = 0 is the L0 surrogate
     and larger d penalizes small coefficients less harshly.
     """
@@ -53,8 +52,6 @@ class BarConfig:
     xi: float = 1.0
     lambda_rule: str = "bic"
     lambda_value: float = None
-    lambda_grid: tuple = None
-    grid_criterion: str = "bic"
     d: float = 0.0
     zero_threshold: float = 1e-8
     outer_max: int = 200
@@ -69,11 +66,6 @@ class BarConfig:
         if self.lambda_rule == "fixed":
             if self.lambda_value is None or self.lambda_value < 0:
                 raise ValueError("fixed rule needs a nonnegative lambda_value")
-        if self.lambda_rule == "grid":
-            if not self.lambda_grid:
-                raise ValueError("grid rule needs a nonempty lambda_grid")
-            if self.grid_criterion not in _CRITERIA:
-                raise ValueError(f"unknown criterion {self.grid_criterion!r}")
         if not 0.0 <= self.d <= 1.0:
             raise ValueError("d must lie in [0, 1]")
         if self.zero_threshold <= 0:
@@ -88,9 +80,35 @@ class BarConfig:
             if ds.event_count < 1:
                 raise ValueError("cbic rule needs at least one event")
             return math.log(ds.event_count)
-        if self.lambda_rule == "fixed":
-            return float(self.lambda_value)
-        raise ValueError("grid rule has no single lambda; use fit_bar_grid")
+        return float(self.lambda_value)
+
+
+@dataclass(frozen=True)
+class BarFit:
+    """One BAR fit.  ``loglik`` and ``objective`` are evaluated at the
+    zero-locked ``beta``; ``sweeps`` counts the coordinate sweeps of every
+    inner solve, ridge start included.  ``screen`` is the ScreenResult of
+    the screening stage for a two-stage fit, None otherwise."""
+
+    beta: np.ndarray
+    loglik: float
+    objective: float
+    sweeps: int
+    outer_iterations: int
+    converged: bool
+    lam: float
+    aic: float
+    bic: float
+    cbic: float
+    screen: object = field(repr=False, default=None)
+
+    @property
+    def support(self):
+        return np.flatnonzero(self.beta)
+
+    @property
+    def df(self):
+        return int(np.count_nonzero(self.beta))
 
 
 @dataclass
@@ -118,28 +136,20 @@ class PathResult:
                 fh.write(",".join(row) + "\n")
 
 
-def information_criteria(fit, n, event_count):
+def information_criteria(loglik, df, n, event_count):
     """(aic, bic, cbic) scores: -2*loglik + penalty * df with penalties
     2, ln(n) and ln(#events)."""
-    base = -2.0 * fit.loglik
-    df = fit.df
+    base = -2.0 * loglik
     return (base + 2.0 * df,
             base + math.log(n) * df,
             base + math.log(event_count) * df)
-
-
-def _attach_criteria(fit, ds):
-    fit.aic, fit.bic, fit.cbic = information_criteria(fit, ds.n, max(ds.event_count, 1))
-    return fit
 
 
 def fit_ridge(ds, xi, opts=None):
     """Cox ridge fit with uniform weight xi, started from beta = 0."""
     if xi <= 0:
         raise ValueError("xi must be positive")
-    fit = ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p), opts)
-    fit.xi = float(xi)
-    return _attach_criteria(fit, ds)
+    return ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p), opts)
 
 
 def fit_bar(ds, config=None):
@@ -153,8 +163,6 @@ def fit_bar(ds, config=None):
         config = BarConfig()
     if ds.event_count < 1:
         raise ValueError("fitting requires at least one event")
-    if config.lambda_rule == "grid":
-        return fit_bar_grid(ds, config.lambda_grid, config.grid_criterion, config)
 
     lam = config.resolve_lambda(ds)
     zeta = config.zero_threshold
@@ -201,81 +209,31 @@ def fit_bar(ds, config=None):
     objective = -2.0 * loglik
     if lam > 0.0 and np.any(live):
         objective += float(np.sum(0.5 * lam / np.abs(beta[live]) ** expo * beta[live] ** 2))
-    result = FitResult(
-        beta=beta.copy(),
-        support=np.flatnonzero(beta),
-        loglik=loglik,
-        objective=objective,
-        sweeps=sweeps_total,
-        converged=converged and inner.converged,
-        df=int(np.count_nonzero(beta)),
-        trace=inner.trace,
-    )
-    result.outer_iterations = outer
-    result.lam = lam
-    result.xi = config.xi
-    return _attach_criteria(result, ds)
-
-
-def _point_config(config, axis, value):
-    if axis == "lambda":
-        return replace(config, lambda_rule="fixed", lambda_value=float(value),
-                       lambda_grid=None)
-    if value <= 0:
-        raise ValueError("xi grid values must be positive")
-    return replace(config, xi=float(value))
+    aic, bic, cbic = information_criteria(loglik, int(np.count_nonzero(beta)), ds.n,
+                                          ds.event_count)
+    return BarFit(beta=beta.copy(), loglik=loglik, objective=objective, sweeps=sweeps_total,
+                  outer_iterations=outer, converged=converged and inner.converged, lam=lam,
+                  aic=aic, bic=bic, cbic=cbic)
 
 
 def _fit_point(args):
     ds, axis, value, config = args
     try:
-        return fit_bar(ds, _point_config(config, axis, value)), None
+        if axis == "lambda":
+            config = replace(config, lambda_rule="fixed", lambda_value=value)
+        else:
+            config = replace(config, xi=value)
+        return fit_bar(ds, config), None
     except Exception as exc:  # keep scanning past a failed point
         return None, str(exc)
-
-
-def _fit_grid_points(ds, axis, grid, config, threads):
-    jobs = [(ds, axis, float(v), config) for v in grid]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_fit_point, jobs))
-    else:
-        outcomes = [_fit_point(job) for job in jobs]
-    return [f for f, _ in outcomes], [e for _, e in outcomes]
-
-
-def fit_bar_grid(ds, lambda_grid, criterion="bic", config=None, threads=1):
-    """Grid-search lambda, returning the criterion-minimizing fit.
-
-    Ties go to the smaller lambda.  All grid fits are retained on the
-    returned result's ``path`` attribute.  Grid points may be fit by a
-    worker pool; results do not depend on ``threads``.
-    """
-    if config is None:
-        config = BarConfig()
-    grid = np.asarray(sorted(float(v) for v in lambda_grid))
-    if grid.size == 0 or np.any(grid < 0):
-        raise ValueError("lambda grid must be nonempty and nonnegative")
-    if criterion not in _CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    fits, errors = _fit_grid_points(ds, "lambda", grid, config, threads)
-    if any(f is None for f in fits):
-        bad = next(e for e in errors if e is not None)
-        raise RuntimeError(f"grid fit failed: {bad}")
-    scores = [getattr(f, criterion) for f in fits]
-    best = int(np.argmin(scores))  # argmin takes the first = smallest lambda
-    chosen = fits[best]
-    chosen.path = PathResult(axis="lambda", tunings=grid, fits=fits,
-                             errors=errors)
-    return chosen
 
 
 def path_over(ds, axis, grid, config=None, threads=1):
     """One BAR fit per grid point, varying lambda or xi (other tuning fixed).
 
     Failures at single grid points are recorded and the path continues.
+    Grid points may be fit by a worker pool; results do not depend on
+    ``threads``.
     """
     if axis not in ("lambda", "xi"):
         raise ValueError("axis must be 'lambda' or 'xi'")
@@ -286,8 +244,16 @@ def path_over(ds, axis, grid, config=None, threads=1):
         raise ValueError("grid must be nonempty and strictly ascending")
     if axis == "xi" and np.any(grid <= 0):
         raise ValueError("xi grid values must be positive")
-    fits, errors = _fit_grid_points(ds, axis, grid, config, threads)
-    return PathResult(axis=axis, tunings=grid, fits=fits, errors=errors)
+    jobs = [(ds, axis, float(v), config) for v in grid]
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(_fit_point, jobs))
+    else:
+        outcomes = [_fit_point(job) for job in jobs]
+    return PathResult(axis=axis, tunings=grid, fits=[f for f, _ in outcomes],
+                      errors=[e for _, e in outcomes])
 
 
 @dataclass

@@ -10,6 +10,8 @@ coordinate-descent kernels scan.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 __all__ = [
@@ -30,20 +32,13 @@ _MODES = (MODE_NONE, MODE_SCALE, MODE_CENTER_SCALE)
 
 
 class _Column:
-    """One sparse column: positions (ascending, in sorted-subject order) and values.
+    """One sparse column: positions (ascending, in sorted-subject order) and values."""
 
-    Carries lazily-built scan caches shared between a dataset and any
-    column-subset view of it (the event structure is identical for both).
-    """
-
-    __slots__ = ("pos", "val", "ev_lo", "ev_idx", "sum_delta_x")
+    __slots__ = ("pos", "val")
 
     def __init__(self, pos, val):
         self.pos = pos
         self.val = val
-        self.ev_lo = -1          # first event index whose risk set touches this column
-        self.ev_idx = None       # per-event count of column entries inside the risk set
-        self.sum_delta_x = None  # sum of values at event rows (beta-independent)
 
     @property
     def nnz(self):
@@ -144,6 +139,9 @@ class SurvivalDataset:
         rev = self.time_sorted[::-1]
         cnt_ge = n - np.searchsorted(rev, self.time_sorted[self.event_pos], side="left")
         self.event_end = (cnt_ge - 1).astype(np.int64)
+        # per-column event-scan memo, filled lazily by the likelihood kernels;
+        # it depends on this dataset's events, so it is never shared
+        self._scan_memo = [None] * self.p
 
     # -- constructors ----------------------------------------------------
 
@@ -189,7 +187,8 @@ class SurvivalDataset:
     def select_columns(self, indices):
         """Column-subset view sharing all arrays (no copies of column data)."""
         indices = np.asarray(indices, dtype=np.int64)
-        sub = SparseColumnMatrix(
+        view = copy.copy(self)
+        view.design = SparseColumnMatrix(
             self.n,
             int(indices.shape[0]),
             [self.design.columns[int(j)] for j in indices],
@@ -197,19 +196,9 @@ class SurvivalDataset:
             offset=self.design.offset[indices],
             standardization=self.design.standardization,
         )
-        ds = SurvivalDataset.__new__(SurvivalDataset)
-        ds.time = self.time
-        ds.status = self.status
-        ds.n = self.n
-        ds.p = sub.p
-        ds.design = sub
-        ds.order = self.order
-        ds.time_sorted = self.time_sorted
-        ds.status_sorted = self.status_sorted
-        ds.event_count = self.event_count
-        ds.event_pos = self.event_pos
-        ds.event_end = self.event_end
-        return ds
+        view.p = view.design.p
+        view._scan_memo = [None] * view.p
+        return view
 
     def dense_design_original_order(self):
         """Dense design with rows in the original input order (small data only)."""

@@ -20,31 +20,29 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "LinearPredictorState",
-    "init_state",
-    "log_partial_likelihood",
-    "coord_derivatives",
-    "apply_coord_update",
-    "full_gradient",
-]
+__all__ = ["LinearPredictorState"]
 
 
 def _column_scan_cache(ds, j):
-    """Event-scan cache for column j: built once, shared with subset views."""
-    c = ds.design.columns[j]
-    if c.ev_idx is None:
+    """Event-scan memo of column j in ds, built on first use and kept in the
+    dataset's own per-column list (never on the column, which other datasets
+    may share).
+
+    Returns (column, ev_lo, ev_idx, sum_delta_x): the column itself, the
+    first event whose risk set touches it, the per-event count of column entries
+    inside the risk set, and the column's sum over event rows.
+    """
+    scan = ds._scan_memo[j]
+    if scan is None:
+        c = ds.design.columns[j]
         if c.nnz == 0:
-            c.ev_lo = ds.event_pos.shape[0]
-            c.ev_idx = np.empty(0, dtype=np.int32)
-            c.sum_delta_x = 0.0
+            scan = (c, ds.event_pos.shape[0], np.empty(0, dtype=np.int32), 0.0)
         else:
-            first = c.pos[0]
-            lo = int(np.searchsorted(ds.event_end, first, side="left"))
-            c.ev_lo = lo
-            c.ev_idx = np.searchsorted(c.pos, ds.event_end[lo:], side="right").astype(np.int32)
-            c.sum_delta_x = float(c.val[ds.status_sorted[c.pos] == 1].sum())
-    return c
+            lo = int(np.searchsorted(ds.event_end, c.pos[0], side="left"))
+            ev_idx = np.searchsorted(c.pos, ds.event_end[lo:], side="right").astype(np.int32)
+            scan = (c, lo, ev_idx, float(c.val[ds.status_sorted[c.pos] == 1].sum()))
+        ds._scan_memo[j] = scan
+    return scan
 
 
 class _CoordTrial:
@@ -62,12 +60,8 @@ class _CoordTrial:
 
 
 class LinearPredictorState:
-    """Per-subject linear predictors and risk-set denominators for one beta.
-
-    Owned by a single solver worker.  ``denom`` entries at positions >=
-    ``stale_from`` are stale until ``denominators()`` recomputes them;
-    ``denom_at_events`` is always kept exact because every likelihood and
-    derivative evaluation reads it.
+    """Per-subject linear predictors and the risk-set denominators at the
+    events, for one beta.  Owned by a single solver worker.
     """
 
     def __init__(self, ds, beta):
@@ -93,9 +87,7 @@ class LinearPredictorState:
             )
         self.eta = eta
         self.w = np.exp(eta)
-        self.denom = np.cumsum(self.w)
-        self.denom_at_events = self.denom[ds.event_end].copy()
-        self.stale_from = ds.n
+        self.denom_at_events = np.cumsum(self.w)[ds.event_end]
 
     # -- evaluation -------------------------------------------------------
 
@@ -108,17 +100,17 @@ class LinearPredictorState:
     def coord_derivatives(self, j):
         """(g1, g2) of the log-partial likelihood for coordinate j."""
         ds = self.ds
-        c = _column_scan_cache(ds, j)
-        if c.nnz == 0 or c.ev_lo >= ds.event_pos.shape[0]:
+        c, ev_lo, ev_idx, sum_delta_x = _column_scan_cache(ds, j)
+        if c.nnz == 0 or ev_lo >= ds.event_pos.shape[0]:
             return 0.0, 0.0
         wj = self.w[c.pos]
         aw = c.val * wj
         cum_a = np.cumsum(aw)
         cum_b = np.cumsum(c.val * aw)
-        sel = c.ev_idx - 1
-        d = self.denom_at_events[c.ev_lo :]
+        sel = ev_idx - 1
+        d = self.denom_at_events[ev_lo:]
         r = cum_a[sel] / d
-        g1 = c.sum_delta_x - float(r.sum())
+        g1 = sum_delta_x - float(r.sum())
         g2 = float(np.dot(r, r) - (cum_b[sel] / d).sum())
         # exact math gives a per-event variance >= 0; clamp rounding residue
         return g1, min(g2, 0.0)
@@ -135,35 +127,34 @@ class LinearPredictorState:
         when exp(eta) would overflow.
         """
         ds = self.ds
-        c = _column_scan_cache(ds, j)
+        c, ev_lo, ev_idx, sum_delta_x = _column_scan_cache(ds, j)
         if c.nnz == 0 or delta == 0.0:
             return _CoordTrial(j, delta, None, None, None, 0.0)
         new_eta = self.eta[c.pos] + delta * c.val
         if np.abs(new_eta).max() > self.eta_limit:
             return None
         new_w = np.exp(new_eta)
-        patch = np.cumsum(new_w - self.w[c.pos])[c.ev_idx - 1]
-        if c.ev_lo < ds.event_pos.shape[0]:
-            d_old = self.denom_at_events[c.ev_lo :]
+        patch = np.cumsum(new_w - self.w[c.pos])[ev_idx - 1]
+        if ev_lo < ds.event_pos.shape[0]:
+            d_old = self.denom_at_events[ev_lo:]
             with np.errstate(divide="ignore", invalid="ignore"):
                 dlog = np.log1p(patch / d_old)
-            ll_delta = delta * c.sum_delta_x - float(dlog.sum())
+            ll_delta = delta * sum_delta_x - float(dlog.sum())
         else:
             ll_delta = 0.0
         return _CoordTrial(j, delta, new_eta, new_w, patch, ll_delta)
 
     def commit(self, trial):
         ds = self.ds
-        j, delta = trial.j, trial.delta
-        self.beta[j] += delta
+        j = trial.j
+        self.beta[j] += trial.delta
         if trial.new_eta is None:
             return
-        c = ds.design.columns[j]
+        c, ev_lo, _, _ = _column_scan_cache(ds, j)
         self.eta[c.pos] = trial.new_eta
         self.w[c.pos] = trial.new_w
-        if c.ev_lo < ds.event_pos.shape[0]:
-            self.denom_at_events[c.ev_lo :] += trial.patch
-        self.stale_from = min(self.stale_from, int(c.pos[0]))
+        if ev_lo < ds.event_pos.shape[0]:
+            self.denom_at_events[ev_lo:] += trial.patch
 
     def apply_coord_update(self, j, delta):
         """Commit beta[j] += delta, updating eta/w/denominators at the
@@ -177,40 +168,6 @@ class LinearPredictorState:
             raise OverflowError(f"linear predictor overflow updating coordinate {j + 1}")
         self.commit(trial)
 
-    # -- maintenance --------------------------------------------------------
-
-    def denominators(self):
-        """Full prefix-sum denominators (recomputes the stale tail)."""
-        s = self.stale_from
-        if s < self.ds.n:
-            base = self.denom[s - 1] if s > 0 else 0.0
-            self.denom[s:] = base + np.cumsum(self.w[s:])
-            self.stale_from = self.ds.n
-        return self.denom
-
     def refresh(self):
-        """Rebuild denominators from w, clearing accumulated patch drift."""
-        self.denom = np.cumsum(self.w)
-        self.denom_at_events = self.denom[self.ds.event_end].copy()
-        self.stale_from = self.ds.n
-
-
-def init_state(ds, beta):
-    return LinearPredictorState(ds, beta)
-
-
-def log_partial_likelihood(state):
-    return state.loglik()
-
-
-def coord_derivatives(state, j):
-    return state.coord_derivatives(j)
-
-
-def apply_coord_update(state, j, delta):
-    state.apply_coord_update(j, delta)
-    return state
-
-
-def full_gradient(state):
-    return state.full_gradient()
+        """Rebuild the denominators from w, clearing accumulated patch drift."""
+        self.denom_at_events = np.cumsum(self.w)[self.ds.event_end]

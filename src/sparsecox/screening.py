@@ -12,12 +12,12 @@ halved steps.  Iteration stops when the kept set repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .likelihood import LinearPredictorState
-from .solver import PenaltySpec, SolverOptions, FitResult, ccd_minimize
+from .solver import PenaltySpec, SolverOptions, ccd_minimize
 
 __all__ = ["ScreenOptions", "ScreenResult", "sjs_screen", "sjs_coxbar"]
 
@@ -127,29 +127,13 @@ def sjs_screen(ds, m, opts=None):
 def sjs_coxbar(ds, m, config=None, opts=None):
     """Two-stage estimator: screen to at most m columns, fit BAR on the
     screened columns (a no-copy column view), re-embed with exact zeros
-    off the screened set."""
+    off the screened set.  The result carries the screen on ``screen``."""
+    # looked up in .bar on each call, so a wrapper installed there
+    # (perfbench/tracer.py) sees the BAR stage
     from .bar import fit_bar
 
     screen = sjs_screen(ds, m, opts)
-    sub = ds.select_columns(screen.selected)
-    fit = fit_bar(sub, config)
+    fit = fit_bar(ds.select_columns(screen.selected), config)
     beta = np.zeros(ds.p)
     beta[screen.selected] = fit.beta
-    result = FitResult(
-        beta=beta,
-        support=screen.selected[fit.support],
-        loglik=fit.loglik,
-        objective=fit.objective,
-        sweeps=fit.sweeps,
-        converged=fit.converged and screen.converged,
-        df=fit.df,
-        trace=fit.trace,
-        aic=fit.aic,
-        bic=fit.bic,
-        cbic=fit.cbic,
-        outer_iterations=fit.outer_iterations,
-        lam=fit.lam,
-        xi=fit.xi,
-    )
-    result.screen = screen
-    return result
+    return replace(fit, beta=beta, converged=fit.converged and screen.converged, screen=screen)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import SurvivalDataset
 from .bar import fit_bar, BarConfig
@@ -288,17 +287,21 @@ class SelectionMetrics:
     ssb: float
     fp: int
     fn: int
-    tm: int
     acr: float
     included: np.ndarray
     aic: float = None
     bic: float = None
 
-    def __post_init__(self):
-        assert (self.tm == 1) == (self.fp == 0 and self.fn == 0)
+    @property
+    def tm(self):
+        """1 when the selected support is exactly the true support."""
+        return int(self.fp == 0 and self.fn == 0)
 
 
 def score(beta_hat, beta_true):
+    # scipy.stats takes most of a fresh `import sparsecox`; only scoring needs it
+    from scipy.stats import rankdata
+
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)
     if beta_hat.shape != beta_true.shape:
@@ -308,14 +311,13 @@ def score(beta_hat, beta_true):
     est_sup = beta_hat != 0.0
     fp = int(np.count_nonzero(est_sup & ~true_sup))
     fn = int(np.count_nonzero(~est_sup & true_sup))
-    tm = int(fp == 0 and fn == 0)
     if np.any(true_sup):
         r_true = rankdata(np.abs(beta_true[true_sup]))
         r_est = rankdata(np.abs(beta_hat[true_sup]))
         acr = float(np.count_nonzero(r_true == r_est))
     else:
         acr = 0.0
-    return SelectionMetrics(ssb=ssb, fp=fp, fn=fn, tm=tm, acr=acr,
+    return SelectionMetrics(ssb=ssb, fp=fp, fn=fn, acr=acr,
                             included=est_sup[true_sup].copy())
 
 

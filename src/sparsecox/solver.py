@@ -3,9 +3,9 @@
 Each sweep visits every unfrozen coordinate once and applies a single
 Newton step of the restricted objective, written in the stabilized form
 
-    delta = (phi_j*g1 - beta_j) / (-phi_j*g2 + 1),    phi_j = 1/w_j,
+    delta = (g1/w_j - beta_j) / (-g2/w_j + 1),
 
-whose denominator is >= 1, so the step degrades gracefully as phi_j -> 0
+whose denominator is >= 1, so the step degrades gracefully as w_j -> inf
 (the new coordinate value goes to exactly zero instead of overflowing).
 Steps are clamped by a per-coordinate trust radius adapted as
 max(2*|step|, radius/2), and a step is only accepted if the objective does
@@ -22,7 +22,7 @@ import numpy as np
 
 from .likelihood import LinearPredictorState
 
-__all__ = ["PenaltySpec", "SolverOptions", "FitResult", "ccd_minimize", "stabilized_coord_step"]
+__all__ = ["PenaltySpec", "SolverOptions", "SolverResult", "ccd_minimize"]
 
 
 class PenaltySpec:
@@ -81,49 +81,37 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass
-class FitResult:
-    """A fitted coefficient vector with bookkeeping.
-
-    ``support`` is exactly the nonzero pattern of ``beta``; ``loglik`` and
-    ``objective`` are recomputed from scratch at exit so they agree with
-    ``beta`` under re-evaluation.  Information-criterion fields are filled
-    by the reweighted-ridge engine, not by the solver.
-    """
+@dataclass(frozen=True)
+class SolverResult:
+    """One ccd_minimize solve.  ``loglik`` and ``objective`` are recomputed
+    from scratch at exit so they agree with ``beta`` under re-evaluation;
+    ``trace`` is the objective at the start and after every accepted step."""
 
     beta: np.ndarray
-    support: np.ndarray
     loglik: float
     objective: float
     sweeps: int
     converged: bool
-    df: int
-    trace: np.ndarray = field(repr=False, default=None)
-    aic: float = None
-    bic: float = None
-    cbic: float = None
-    outer_iterations: int = None
-    lam: float = None
-    xi: float = None
-    path: object = field(repr=False, default=None)
-    screen: object = field(repr=False, default=None)
+    trace: np.ndarray = field(repr=False)
 
+    @property
+    def support(self):
+        return np.flatnonzero(self.beta)
 
-def stabilized_coord_step(beta_j, g1, g2, phi_j):
-    """One-step Newton update of the restricted objective, in the
-    multiplication-only form (phi_j*g1 - beta_j)/(-phi_j*g2 + 1).
-
-    At phi_j = 0 the returned step is exactly -beta_j, so the updated
-    coordinate is exactly zero.
-    """
-    if phi_j < 0 or not np.isfinite(phi_j):
-        raise ValueError("phi_j must be finite and nonnegative")
-    if g2 > 0:
-        raise ValueError("g2 must be nonpositive")
-    return (phi_j * g1 - beta_j) / (-phi_j * g2 + 1.0)
+    @property
+    def df(self):
+        return int(np.count_nonzero(self.beta))
 
 
 _EPS_UNPENALIZED = 1e-12  # curvature guard for w_j = 0 coordinates
+
+
+def _coord_step(b, g1, g2, w_j):
+    """Newton step for one coordinate (module docstring).  At w_j = inf the
+    updated coordinate b + step is exactly zero."""
+    if w_j > 0.0:
+        return (g1 / w_j - b) / (-g2 / w_j + 1.0)
+    return g1 / (-g2 + _EPS_UNPENALIZED)
 
 
 def ccd_minimize(ds, penalty, beta0, opts=None):
@@ -136,7 +124,7 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
     beta0 : starting coefficients; frozen coordinates must be zero.
     opts : SolverOptions, optional.
 
-    Returns a FitResult; ``converged`` is False when max_sweeps ran out
+    Returns a SolverResult; ``converged`` is False when max_sweeps ran out
     (not an error).  A non-finite objective that survives every step
     halving raises RuntimeError.
     """
@@ -175,10 +163,7 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
             b = beta[j]
             g1, g2 = state.coord_derivatives(j)
             w_j = weights[j]
-            if w_j > 0.0:
-                step = (g1 / w_j - b) / (-g2 / w_j + 1.0)
-            else:
-                step = g1 / (-g2 + _EPS_UNPENALIZED)
+            step = _coord_step(b, g1, g2, w_j)
             r = radius[j]
             if step > r:
                 step = r
@@ -226,15 +211,5 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
     state.refresh()
     loglik = state.loglik()
     objective = -2.0 * loglik + float(np.dot(weights[live], beta[live] ** 2))
-    beta_out = beta.copy()
-    support = np.flatnonzero(beta_out)
-    return FitResult(
-        beta=beta_out,
-        support=support,
-        loglik=loglik,
-        objective=objective,
-        sweeps=sweep,
-        converged=converged,
-        df=int(support.shape[0]),
-        trace=np.asarray(trace),
-    )
+    return SolverResult(beta=beta.copy(), loglik=loglik, objective=objective, sweeps=sweep,
+                        converged=converged, trace=np.asarray(trace))

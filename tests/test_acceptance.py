@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 
 import sparsecox as sc
 from sparsecox.sim import replicate_seed
-from sparsecox.solver import PenaltySpec, ccd_minimize
+from sparsecox.solver import PenaltySpec, _coord_step, ccd_minimize
 
 from conftest import dense_loglik, make_dataset
 
@@ -275,12 +275,12 @@ def test_criterion_6a_derivatives_vs_finite_differences():
         ds, _ = make_dataset(rng, n, p)
         beta = rng.uniform(-1, 1, size=p)
         j = int(rng.integers(0, p))
-        g1, g2 = sc.init_state(ds, beta).coord_derivatives(j)
+        g1, g2 = sc.LinearPredictorState(ds, beta).coord_derivatives(j)
 
         def ll(b, j=j, beta=beta, ds=ds):
             v = beta.copy()
             v[j] = b
-            return sc.init_state(ds, v).loglik()
+            return sc.LinearPredictorState(ds, v).loglik()
 
         l0, lp, lm = ll(beta[j]), ll(beta[j] + h), ll(beta[j] - h)
         fd1 = (lp - lm) / (2 * h)
@@ -311,7 +311,7 @@ def test_criterion_6b_sparse_vs_dense_reference():
         Xs_orig = np.empty_like(Xs)
         Xs_orig[std.order] = Xs
         beta = rng.uniform(-1, 1, size=p)
-        st = sc.init_state(std, beta)
+        st = sc.LinearPredictorState(std, beta)
         for j in range(p):
             g1, g2 = st.coord_derivatives(j)
             r1, r2 = dense_coord_derivs(t, status, Xs_orig, beta, j)
@@ -335,13 +335,13 @@ def test_criterion_6c_monotone_descent_everywhere():
 
 
 def test_criterion_6d_exact_zero_semantics():
-    # phi = 0 makes the updated coordinate exactly zero
+    # phi = 1/w = 0 makes the updated coordinate exactly zero
     rng = np.random.default_rng(MASTER_SEED + 8)
     for _ in range(100):
         b = float(rng.uniform(-5, 5))
         g1 = float(rng.uniform(-10, 10))
         g2 = float(-rng.uniform(0, 10))
-        assert b + sc.stabilized_coord_step(b, g1, g2, 0.0) == 0.0
+        assert b + _coord_step(b, g1, g2, math.inf) == 0.0
     # zero-locking: support shrinks monotonically across reweighting steps
     scen = desk_scenario(300, p=20)
     supports = []

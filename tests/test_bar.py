@@ -8,7 +8,6 @@ from sparsecox import (
     BarConfig,
     SurvivalDataset,
     fit_bar,
-    fit_bar_grid,
     fit_ridge,
     grouping_bound_check,
     information_criteria,
@@ -30,20 +29,14 @@ def desk_scenario(n=300, p=10, seed=0):
 # -- information criteria -------------------------------------------------
 
 
-class _FakeFit:
-    def __init__(self, loglik, df):
-        self.loglik = loglik
-        self.df = df
-
-
 def test_information_criteria_values():
-    aic, bic, cbic = information_criteria(_FakeFit(-500.0, 5), 1000, 800)
+    aic, bic, cbic = information_criteria(-500.0, 5, 1000, 800)
     assert aic == pytest.approx(1010.0)
     assert bic == pytest.approx(1000 + 5 * math.log(1000), abs=1e-9)
     assert bic == pytest.approx(1034.54, abs=0.01)
     assert cbic == pytest.approx(1033.42, abs=0.01)
 
-    aic0, bic0, cbic0 = information_criteria(_FakeFit(-500.0, 0), 1000, 800)
+    aic0, bic0, cbic0 = information_criteria(-500.0, 0, 1000, 800)
     assert aic0 == bic0 == cbic0 == 1000.0
 
 
@@ -76,8 +69,8 @@ def test_bar_zero_design_converges_immediately():
 
 
 def test_bar_requires_events(rng):
-    ds, _ = make_dataset(rng, 10, 2)
-    ds.event_count = 0
+    _, (t, _, X) = make_dataset(rng, 10, 2)
+    ds = SurvivalDataset.from_dense(t, np.zeros(10), X)
     with pytest.raises(ValueError, match="event"):
         fit_bar(ds, BarConfig())
 
@@ -164,14 +157,21 @@ def test_bar_agrees_with_oracle_model_fit():
 # -- grid and path ----------------------------------------------------------
 
 
+def bic_grid_search(ds, grid):
+    """Lambda grid search: the BIC-minimizing fit along the path (ties go
+    to the smaller lambda) and the path itself."""
+    path = path_over(ds, "lambda", grid)
+    return path.fits[int(np.argmin([f.bic for f in path.fits]))], path
+
+
 def test_grid_singleton_equals_bic_rule(rng):
     scen = desk_scenario(n=200, p=6, seed=7)
     ds = simulate(scen)
     lam = math.log(ds.n)
-    grid_fit = fit_bar_grid(ds, [lam], criterion="bic")
+    grid_fit, path = bic_grid_search(ds, [lam])
     bic_fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
     np.testing.assert_array_equal(grid_fit.beta, bic_fit.beta)
-    assert grid_fit.path is not None and len(grid_fit.path.fits) == 1
+    assert path is not None and len(path.fits) == 1
 
 
 def test_grid_returns_minimizing_member(rng):
@@ -179,8 +179,8 @@ def test_grid_returns_minimizing_member(rng):
     ds = simulate(scen)
     lam = math.log(ds.n)
     grid = [0.5 * lam, lam, 2 * lam]
-    fit = fit_bar_grid(ds, grid, criterion="bic")
-    scores = [f.bic for f in fit.path.fits]
+    fit, path = bic_grid_search(ds, grid)
+    scores = [f.bic for f in path.fits]
     assert fit.bic == min(scores)
     assert fit.bic <= scores[0] and fit.bic <= scores[2]
 
@@ -195,21 +195,11 @@ def test_grid_selection_no_sparser_than_fixed_rule():
         scen = replace(desk_scenario(n=300, p=10), seed=replicate_seed(404, r))
         ds = simulate(scen)
         lam = math.log(ds.n)
-        grid_fit = fit_bar_grid(ds, [0.5 * lam, lam, 2 * lam], criterion="bic")
+        grid_fit, _ = bic_grid_search(ds, [0.5 * lam, lam, 2 * lam])
         fixed_fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
         grid_support += grid_fit.support.size
         fixed_support += fixed_fit.support.size
     assert grid_support >= fixed_support
-
-
-def test_grid_threads_invariant(rng):
-    scen = desk_scenario(n=150, p=6, seed=23)
-    ds = simulate(scen)
-    lam = math.log(ds.n)
-    seq = fit_bar_grid(ds, [0.5 * lam, lam, 2 * lam], criterion="bic", threads=1)
-    par = fit_bar_grid(ds, [0.5 * lam, lam, 2 * lam], criterion="bic", threads=3)
-    np.testing.assert_array_equal(seq.beta, par.beta)
-    assert seq.lam == par.lam
 
 
 def test_path_singleton_and_failed_points(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsecox import SurvivalDataset, init_state
+from sparsecox import LinearPredictorState, SurvivalDataset, validate
 
 from conftest import dense_loglik, dense_coord_derivs, make_dataset
 
@@ -13,49 +13,45 @@ def two_subject_dataset():
 
 def test_init_state_zero_beta(rng):
     ds, _ = make_dataset(rng, 12, 3)
-    st = init_state(ds, np.zeros(3))
+    st = LinearPredictorState(ds, np.zeros(3))
     np.testing.assert_array_equal(st.eta, np.zeros(12))
     np.testing.assert_array_equal(st.w, np.ones(12))
-    np.testing.assert_array_equal(st.denom, np.arange(1, 13, dtype=float))
+    np.testing.assert_array_equal(st.denom_at_events,
+                                  np.arange(1, 13, dtype=float)[ds.event_end])
 
 
 def test_init_state_two_subject_hand_values():
     ds = two_subject_dataset()
-    st = init_state(ds, np.array([np.log(2.0)]))
+    st = LinearPredictorState(ds, np.array([np.log(2.0)]))
     np.testing.assert_allclose(st.w, [2.0, 1.0])
-    np.testing.assert_allclose(st.denom, [2.0, 3.0])
+    np.testing.assert_allclose(st.denom_at_events, [2.0, 3.0])
 
 
 def test_init_state_matches_dense_product(rng):
     for _ in range(10):
         ds, (t, status, X) = make_dataset(rng, int(rng.integers(3, 40)), 4)
         beta = rng.uniform(-1, 1, size=4)
-        st = init_state(ds, beta)
+        st = LinearPredictorState(ds, beta)
         np.testing.assert_allclose(st.eta, (X @ beta)[ds.order], atol=1e-12)
 
 
 def test_init_state_overflow_names_subject(rng):
     ds, _ = make_dataset(rng, 5, 1)
     with pytest.raises(OverflowError, match="subject"):
-        init_state(ds, np.array([1e5]))
+        LinearPredictorState(ds, np.array([1e5]))
 
 
 def test_loglik_hand_values(rng):
     # single subject, event: ll = r - ln(exp(r)) = 0 for any beta
     one = SurvivalDataset.from_dense([1.0], [1], np.array([[2.0]]))
-    assert init_state(one, np.array([0.7])).loglik() == pytest.approx(0.0, abs=1e-12)
+    assert LinearPredictorState(one, np.array([0.7])).loglik() == pytest.approx(0.0, abs=1e-12)
 
     ds = two_subject_dataset()
-    assert init_state(ds, np.zeros(1)).loglik() == pytest.approx(-np.log(2.0), abs=1e-12)
+    assert LinearPredictorState(ds, np.zeros(1)).loglik() == pytest.approx(-np.log(2.0), abs=1e-12)
 
-    censored, _ = make_dataset(rng, 8, 2)
-    censored.status_sorted = np.zeros(8, dtype=np.int8)
-    censored.event_pos = np.empty(0, dtype=np.int64)
-    censored.event_count = 0
-    censored.event_end = np.empty(0, dtype=np.int64)
-    for c in censored.design.columns:
-        c.ev_idx = None
-    assert init_state(censored, np.zeros(2)).loglik() == 0.0
+    _, (t, _, X) = make_dataset(rng, 8, 2)
+    censored = SurvivalDataset.from_dense(t, np.zeros(8), X)
+    assert LinearPredictorState(censored, np.zeros(2)).loglik() == 0.0
 
 
 def test_loglik_matches_dense_oracle(rng):
@@ -63,13 +59,13 @@ def test_loglik_matches_dense_oracle(rng):
         n = int(rng.integers(2, 40))
         ds, (t, status, X) = make_dataset(rng, n, 3)
         beta = rng.uniform(-1, 1, size=3)
-        st = init_state(ds, beta)
+        st = LinearPredictorState(ds, beta)
         assert st.loglik() == pytest.approx(dense_loglik(t, status, X, beta), rel=1e-10, abs=1e-10)
 
 
 def test_coord_derivatives_hand_values():
     ds = two_subject_dataset()
-    st = init_state(ds, np.zeros(1))
+    st = LinearPredictorState(ds, np.zeros(1))
     g1, g2 = st.coord_derivatives(0)
     assert g1 == pytest.approx(-0.5, abs=1e-12)
     assert g2 == pytest.approx(-0.25, abs=1e-12)
@@ -78,7 +74,7 @@ def test_coord_derivatives_hand_values():
 def test_zero_column_derivatives(rng):
     ds, _ = make_dataset(rng, 10, 1)
     ds2 = SurvivalDataset.from_dense(ds.time, ds.status, np.zeros((10, 2)))
-    st = init_state(ds2, np.zeros(2))
+    st = LinearPredictorState(ds2, np.zeros(2))
     assert st.coord_derivatives(0) == (0.0, 0.0)
     assert st.coord_derivatives(1) == (0.0, 0.0)
 
@@ -90,7 +86,7 @@ def test_derivatives_match_dense_reference(rng):
         p = int(rng.integers(1, 6))
         ds, (t, status, X) = make_dataset(rng, n, p)
         beta = rng.uniform(-1, 1, size=p)
-        st = init_state(ds, beta)
+        st = LinearPredictorState(ds, beta)
         for j in range(p):
             g1, g2 = st.coord_derivatives(j)
             r1, r2 = dense_coord_derivs(t, status, X, beta, j)
@@ -106,14 +102,14 @@ def test_derivatives_match_finite_differences(rng):
         p = int(rng.integers(1, 6))
         ds, (t, status, X) = make_dataset(rng, n, p)
         beta = rng.uniform(-1, 1, size=p)
-        st = init_state(ds, beta)
+        st = LinearPredictorState(ds, beta)
         j = int(rng.integers(0, p))
         g1, g2 = st.coord_derivatives(j)
 
         def ll(b):
             v = beta.copy()
             v[j] = b
-            return init_state(ds, v).loglik()
+            return LinearPredictorState(ds, v).loglik()
 
         l0, lp, lm = ll(beta[j]), ll(beta[j] + h), ll(beta[j] - h)
         fd1 = (lp - lm) / (2 * h)
@@ -128,20 +124,20 @@ def test_second_derivative_nonpositive(rng):
     for _ in range(20):
         ds, _ = make_dataset(rng, int(rng.integers(2, 30)), 3)
         beta = rng.uniform(-2, 2, size=3)
-        st = init_state(ds, beta)
+        st = LinearPredictorState(ds, beta)
         for j in range(3):
             assert st.coord_derivatives(j)[1] <= 0.0
 
 
 def test_apply_coord_update_identity_and_zero_column(rng):
     ds, _ = make_dataset(rng, 15, 2)
-    st = init_state(ds, np.array([0.3, -0.2]))
+    st = LinearPredictorState(ds, np.array([0.3, -0.2]))
     eta_before = st.eta.copy()
     st.apply_coord_update(0, 0.0)
     np.testing.assert_array_equal(st.eta, eta_before)
 
     dsz = SurvivalDataset.from_dense(ds.time, ds.status, np.zeros((15, 1)))
-    stz = init_state(dsz, np.zeros(1))
+    stz = LinearPredictorState(dsz, np.zeros(1))
     stz.apply_coord_update(0, 5.0)
     assert stz.beta[0] == 5.0
     np.testing.assert_array_equal(stz.eta, np.zeros(15))
@@ -149,34 +145,53 @@ def test_apply_coord_update_identity_and_zero_column(rng):
 
 def test_incremental_updates_match_recompute(rng):
     ds, _ = make_dataset(rng, 40, 5)
-    st = init_state(ds, np.zeros(5))
+    st = LinearPredictorState(ds, np.zeros(5))
     for _ in range(60):
         j = int(rng.integers(0, 5))
         st.apply_coord_update(j, float(rng.uniform(-0.2, 0.2)))
-    fresh = init_state(ds, st.beta)
+    fresh = LinearPredictorState(ds, st.beta)
     np.testing.assert_allclose(st.eta, fresh.eta, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(st.denominators(), fresh.denom, rtol=1e-9)
     np.testing.assert_allclose(st.denom_at_events, fresh.denom_at_events, rtol=1e-9)
 
 
 def test_update_overflow_leaves_state_unchanged(rng):
     ds, _ = make_dataset(rng, 10, 1)
-    st = init_state(ds, np.zeros(1))
+    st = LinearPredictorState(ds, np.zeros(1))
     eta = st.eta.copy()
-    denom = st.denom.copy()
+    denom = st.denom_at_events.copy()
     with pytest.raises(OverflowError):
         st.apply_coord_update(0, 1e6)
     np.testing.assert_array_equal(st.eta, eta)
-    np.testing.assert_array_equal(st.denom, denom)
+    np.testing.assert_array_equal(st.denom_at_events, denom)
     assert st.beta[0] == 0.0
 
 
 def test_full_gradient(rng):
     ds, (t, status, X) = make_dataset(rng, 25, 4)
     beta = rng.uniform(-0.5, 0.5, size=4)
-    st = init_state(ds, beta)
+    st = LinearPredictorState(ds, beta)
     g = st.full_gradient()
     for j in range(4):
         assert g[j] == st.coord_derivatives(j)[0]
     dsz = SurvivalDataset.from_dense(t, status, np.zeros((25, 3)))
-    np.testing.assert_array_equal(init_state(dsz, np.zeros(3)).full_gradient(), np.zeros(3))
+    np.testing.assert_array_equal(LinearPredictorState(dsz, np.zeros(3)).full_gradient(), np.zeros(3))
+
+
+def test_scan_memo_is_per_dataset(rng):
+    # a dataset built on another's design must not reuse its event scans
+    ds, (t, status, X) = make_dataset(rng, 30, 3, tie_fraction=0.0)
+    beta = rng.uniform(-0.5, 0.5, size=3)
+    st = LinearPredictorState(ds, beta)
+    for j in range(3):
+        st.coord_derivatives(j)
+    events, censored = np.flatnonzero(status == 1), np.flatnonzero(status == 0)
+    status2 = status.copy()
+    status2[events[:3]] = 0
+    status2[censored[:3]] = 1
+    swapped = SurvivalDataset(t, status2, ds.design, order=ds.order)
+    assert validate(swapped).ok and swapped.event_count == ds.event_count
+    got = LinearPredictorState(swapped, beta)
+    fresh = LinearPredictorState(SurvivalDataset.from_dense(t, status2, X), beta)
+    for j in range(3):
+        np.testing.assert_allclose(got.coord_derivatives(j), fresh.coord_derivatives(j),
+                                   rtol=0, atol=1e-12)

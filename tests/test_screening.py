@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsecox import BarConfig, SurvivalDataset, fit_bar, sjs_coxbar, sjs_screen
-from sparsecox.likelihood import init_state
+from sparsecox import (BarConfig, LinearPredictorState, SurvivalDataset, fit_bar, sjs_coxbar,
+                       sjs_screen)
 from sparsecox.sim import SimScenario, simulate, replicate_seed
 
 
@@ -58,7 +58,8 @@ def test_polish_never_hurts_likelihood():
     res = sjs_screen(ds, 4)
     # restricted MPLE on the selected set is at least as good as the
     # thresholded gradient iterate that produced it; compare against zero
-    assert init_state(ds, res.beta).loglik() >= init_state(ds, np.zeros(ds.p)).loglik()
+    assert (LinearPredictorState(ds, res.beta).loglik()
+            >= LinearPredictorState(ds, np.zeros(ds.p)).loglik())
 
 
 def test_two_stage_equals_full_bar_when_m_is_p():
