@@ -155,9 +155,11 @@ def fit_ridge(ds, xi, opts=None):
 def fit_bar(ds, config=None):
     """Fit the BAR estimator (see module docstring).
 
-    Non-convergence within outer_max reweighting steps is flagged on the
-    result, not raised.  Every reported zero coefficient is bit-exact 0,
-    and the support can only shrink across outer iterations.
+    Non-convergence, of the outer loop within outer_max reweighting steps
+    or of any inner solve (ridge start included), is flagged on the result,
+    not raised.  Every reported zero coefficient is bit-exact 0, and the
+    support can only shrink across outer iterations; an inner solve that
+    revives a locked coordinate raises RuntimeError.
     """
     if config is None:
         config = BarConfig()
@@ -173,7 +175,7 @@ def fit_bar(ds, config=None):
     frozen = np.abs(beta) < zeta
     beta[frozen] = 0.0
     sweeps_total = ridge.sweeps
-    inner = ridge
+    inner_converged = ridge.converged
 
     converged = False
     outer = 0
@@ -188,11 +190,12 @@ def fit_bar(ds, config=None):
             weights[live] = 0.5 * lam / np.abs(beta[live]) ** expo
         inner = ccd_minimize(ds, PenaltySpec(weights, frozen), beta, config.solver)
         sweeps_total += inner.sweeps
+        inner_converged = inner_converged and inner.converged
         change = float(np.max(np.abs(inner.beta - beta))) if ds.p else 0.0
         beta = inner.beta
         newly = np.abs(beta) < zeta
         if np.any(frozen & ~newly):
-            raise AssertionError("support grew across outer iterations")
+            raise RuntimeError("support grew across outer iterations")
         frozen = newly
         beta[frozen] = 0.0
         if change < config.outer_tol:
@@ -212,7 +215,7 @@ def fit_bar(ds, config=None):
     aic, bic, cbic = information_criteria(loglik, int(np.count_nonzero(beta)), ds.n,
                                           ds.event_count)
     return BarFit(beta=beta.copy(), loglik=loglik, objective=objective, sweeps=sweeps_total,
-                  outer_iterations=outer, converged=converged and inner.converged, lam=lam,
+                  outer_iterations=outer, converged=converged and inner_converged, lam=lam,
                   aic=aic, bic=bic, cbic=cbic)
 
 

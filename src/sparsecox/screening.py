@@ -64,7 +64,7 @@ def _polish(ds, keep, start, start_ll, opts):
     except (RuntimeError, OverflowError):
         return None
     if fit.loglik < start_ll - 1e-8 * (1.0 + abs(start_ll)):
-        raise AssertionError("polish decreased the likelihood")
+        raise RuntimeError("polish decreased the likelihood")
     return fit
 
 

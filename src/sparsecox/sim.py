@@ -275,9 +275,10 @@ def simulate(scenario):
 # -- scoring ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionMetrics:
-    """Per-fit selection scores against the generative truth.
+    """Per-fit selection scores against the generative truth, plus the
+    fit's information criteria when ``score`` was given them.
 
     acr counts true-support coefficients whose rank by |estimate| (within
     the true support) matches their rank by |truth|; ranks use midranks
@@ -298,7 +299,7 @@ class SelectionMetrics:
         return int(self.fp == 0 and self.fn == 0)
 
 
-def score(beta_hat, beta_true):
+def score(beta_hat, beta_true, *, aic=None, bic=None):
     # scipy.stats takes most of a fresh `import sparsecox`; only scoring needs it
     from scipy.stats import rankdata
 
@@ -318,7 +319,7 @@ def score(beta_hat, beta_true):
     else:
         acr = 0.0
     return SelectionMetrics(ssb=ssb, fp=fp, fn=fn, acr=acr,
-                            included=est_sup[true_sup].copy())
+                            included=est_sup[true_sup].copy(), aic=aic, bic=bic)
 
 
 # -- benchmarking -------------------------------------------------------------
@@ -399,10 +400,7 @@ def _run_replicate(args):
     else:
         fit = fit_bar(ds, method.bar)
     ms = (_time.perf_counter() - t0) * 1000.0
-    metrics = score(fit.beta, scenario.beta0)
-    metrics.aic = fit.aic
-    metrics.bic = fit.bic
-    return rep, metrics, ms
+    return rep, score(fit.beta, scenario.beta0, aic=fit.aic, bic=fit.bic), ms
 
 
 def run_benchmark(scenario, method, replicates, seed, threads=1):

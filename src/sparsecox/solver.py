@@ -9,13 +9,20 @@ whose denominator is >= 1, so the step degrades gracefully as w_j -> inf
 (the new coordinate value goes to exactly zero instead of overflowing).
 Steps are clamped by a per-coordinate trust radius adapted as
 max(2*|step|, radius/2), and a step is only accepted if the objective does
-not increase; otherwise it is halved a bounded number of times and then
-skipped.  The recorded objective trace is therefore non-increasing by
-construction.
+not increase.  A rejected step is halved until one is accepted, or until
+the quadratic model's predicted decrease of the next halved step,
+
+    pred(s) = 2*g1*s + g2*s^2 - w_j*((beta_j + s)^2 - beta_j^2),
+
+is within a few ulps of |F|, where no trial can beat rounding; the visit
+is then skipped.  A step that overflows or gives a non-finite objective is
+halved without that test, at most max_halvings times.  The recorded
+objective trace is therefore non-increasing by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +111,7 @@ class SolverResult:
 
 
 _EPS_UNPENALIZED = 1e-12  # curvature guard for w_j = 0 coordinates
+_ROUNDING_ULPS = 4.0  # predicted decreases within this many ulps of |F| end a visit
 
 
 def _coord_step(b, g1, g2, w_j):
@@ -177,6 +185,7 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
             saw_finite = False
             for _ in range(opts.max_halvings + 1):
                 trial = state.probe_coord_update(j, step)
+                rejected_finite = False
                 if trial is not None:
                     d_pen = w_j * ((b + step) ** 2 - b * b)
                     f_new = -2.0 * (ll_run + trial.loglik_delta) + (pen_run + d_pen)
@@ -190,9 +199,14 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
                             trace.append(f_new)
                             applied = step
                             break
+                        rejected_finite = True
                 step *= 0.5
                 if step == 0.0:
                     break
+                if rejected_finite:
+                    pred = 2.0 * g1 * step + g2 * step * step - w_j * ((b + step) ** 2 - b * b)
+                    if pred <= _ROUNDING_ULPS * math.ulp(f_last):
+                        break
             if applied == 0.0 and not saw_finite:
                 raise RuntimeError(
                     f"non-finite objective for coordinate {j + 1} after step halvings"

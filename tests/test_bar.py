@@ -14,6 +14,7 @@ from sparsecox import (
     path_over,
     standardize,
 )
+from sparsecox import bar
 from sparsecox.sim import SimScenario, simulate, replicate_seed
 
 from conftest import dense_loglik, dense_full_newton_mple, make_dataset
@@ -73,6 +74,46 @@ def test_bar_requires_events(rng):
     ds = SurvivalDataset.from_dense(t, np.zeros(10), X)
     with pytest.raises(ValueError, match="event"):
         fit_bar(ds, BarConfig())
+
+
+def test_bar_support_regrowth_raises(monkeypatch, rng):
+    _, (t, status, X) = make_dataset(rng, 40, 3)
+    X[:, 2] = 0.0  # the ridge start leaves this column at exact zero, so it is locked
+    ds = SurvivalDataset.from_dense(t, status, X)
+    solve = bar.ccd_minimize
+
+    def reviving_solve(ds, penalty, beta0, opts=None):
+        fit = solve(ds, penalty, beta0, opts)
+        if penalty.frozen[2]:
+            fit = replace(fit, beta=np.where(penalty.frozen, 0.5, fit.beta))
+        return fit
+
+    monkeypatch.setattr(bar, "ccd_minimize", reviving_solve)
+    with pytest.raises(RuntimeError, match="support grew"):
+        fit_bar(ds, BarConfig(lambda_rule="bic"))
+
+
+def test_bar_converged_covers_every_inner_solve(monkeypatch, rng):
+    ds, _ = make_dataset(rng, 80, 4, beta_scale=0.6)
+    config = BarConfig(lambda_rule="bic")
+    assert fit_bar(ds, config).converged
+
+    ridge = bar.fit_ridge
+    with monkeypatch.context() as m:
+        m.setattr(bar, "fit_ridge", lambda *args: replace(ridge(*args), converged=False))
+        assert not fit_bar(ds, config).converged
+
+    solve, calls = bar.ccd_minimize, []
+
+    def first_outer_unconverged(ds, penalty, beta0, opts=None):
+        calls.append(None)
+        fit = solve(ds, penalty, beta0, opts)
+        return replace(fit, converged=False) if len(calls) == 2 else fit
+
+    monkeypatch.setattr(bar, "ccd_minimize", first_outer_unconverged)
+    fit = fit_bar(ds, config)
+    assert fit.outer_iterations > 1  # the unconverged solve is not the last one
+    assert not fit.converged
 
 
 def test_bar_lambda_zero_equals_mple(rng):

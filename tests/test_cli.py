@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sparsecox import BarConfig, fit_bar, load_dataset, simulate
+from sparsecox import BarConfig, bar, fit_bar, load_dataset, screening, simulate
 from sparsecox.cli import main, parse_grid
 from sparsecox.sim import SimScenario
 
@@ -138,3 +139,32 @@ def test_bad_threads(tmp_path, scenario_file, capsys):
     code = main(["bench", "--scenario", str(scenario_file), "--method", "bic-coxbar",
                  "--reps", "1", "--threads", "0", "--out", str(tmp_path / "r.csv")])
     assert code == 1
+
+
+@pytest.fixture
+def simulated_files(tmp_path, scenario_file):
+    surv, design = tmp_path / "s.csv", tmp_path / "d.dat"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out-surv", str(surv),
+                 "--out-design", str(design)]) == 0
+    return surv, design
+
+
+def test_fit_exit_code_2_when_ridge_start_does_not_converge(tmp_path, simulated_files,
+                                                             monkeypatch):
+    surv, design = simulated_files
+    ridge = bar.fit_ridge
+    monkeypatch.setattr(bar, "fit_ridge", lambda *args: replace(ridge(*args), converged=False))
+    result = tmp_path / "fit.json"
+    code = main(["fit", "--surv", str(surv), "--design", str(design), "--out", str(result)])
+    assert code == 2
+    assert json.loads(result.read_text())["converged"] is False
+
+
+def test_fit_exit_code_1_when_polish_loses_likelihood(simulated_files, monkeypatch, capsys):
+    surv, design = simulated_files
+    solve = screening.ccd_minimize
+    monkeypatch.setattr(screening, "ccd_minimize",
+                        lambda *args: replace(solve(*args), loglik=-math.inf))
+    code = main(["fit", "--surv", str(surv), "--design", str(design), "--screen-m", "3"])
+    assert code == 1
+    assert "polish decreased the likelihood" in capsys.readouterr().err

@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sparsecox import (BarConfig, LinearPredictorState, SurvivalDataset, fit_bar, sjs_coxbar,
                        sjs_screen)
+from sparsecox import screening
 from sparsecox.sim import SimScenario, simulate, replicate_seed
 
 
@@ -60,6 +64,15 @@ def test_polish_never_hurts_likelihood():
     # thresholded gradient iterate that produced it; compare against zero
     assert (LinearPredictorState(ds, res.beta).loglik()
             >= LinearPredictorState(ds, np.zeros(ds.p)).loglik())
+
+
+def test_polish_losing_likelihood_raises(monkeypatch):
+    ds, _ = small_signal_dataset(seed=9)
+    solve = screening.ccd_minimize
+    monkeypatch.setattr(screening, "ccd_minimize",
+                        lambda *args: replace(solve(*args), loglik=-math.inf))
+    with pytest.raises(RuntimeError, match="polish decreased the likelihood"):
+        sjs_screen(ds, 4)
 
 
 def test_two_stage_equals_full_bar_when_m_is_p():

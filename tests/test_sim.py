@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from sparsecox import MethodConfig, SimScenario, run_benchmark, score, simulate
+from sparsecox import MethodConfig, SimScenario, fit_bar, run_benchmark, score, simulate
 from sparsecox.sim import format_beta_spec, parse_beta_spec, replicate_seed
 
 
@@ -104,6 +104,25 @@ def test_score_metric_consistency(rng):
         bh = np.where(rng.random(p) < 0.5, rng.uniform(0.2, 1, p), 0.0)
         m = score(bh, bt)
         assert (m.tm == 1) == (m.fp == 0 and m.fn == 0)
+
+
+def test_score_carries_criteria_and_is_frozen():
+    m = score(np.array([0.3, 0.0]), np.array([0.2, 0.0]), aic=10.5, bic=12.25)
+    assert (m.aic, m.bic) == (10.5, 12.25)
+    assert score(np.zeros(2), np.zeros(2)).aic is None
+    with pytest.raises(FrozenInstanceError):
+        m.aic = 0.0
+
+
+def test_run_benchmark_rows_carry_fit_criteria():
+    scen = SimScenario(n=120, p=6, beta0=[0.8, 0, 0.9], design="ar1:0.5",
+                       censoring=0.2, seed=0)
+    method = MethodConfig.from_name("bic-coxbar")
+    report = run_benchmark(scen, method, replicates=2, seed=101)
+    for rep, metrics in report.rows:
+        fit = fit_bar(simulate(replace(scen, seed=replicate_seed(101, rep))), method.bar)
+        assert (metrics.aic, metrics.bic) == (fit.aic, fit.bic)
+    assert report.aic == np.mean([m.aic for _, m in report.rows])
 
 
 def test_run_benchmark_deterministic(tmp_path):

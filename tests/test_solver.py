@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,11 +7,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from sparsecox import (
-    SurvivalDataset,
+    BarConfig,
+    LinearPredictorState,
     PenaltySpec,
+    SimScenario,
     SolverOptions,
+    SurvivalDataset,
     ccd_minimize,
+    fit_bar,
+    simulate,
 )
+from sparsecox import solver
 from sparsecox.solver import _coord_step
 
 from conftest import dense_loglik, make_dataset
@@ -154,3 +161,83 @@ def test_penalty_spec_validation():
         PenaltySpec(np.array([1.0, np.inf]))
     # non-finite weight is fine on a frozen coordinate
     PenaltySpec(np.array([1.0, np.inf]), np.array([False, True]))
+
+
+def test_halving_stops_at_rounding_floor(monkeypatch):
+    # near a coordinate's optimum every trial step loses to rounding; such a
+    # visit used to probe all max_halvings + 1 steps before giving up
+    scen = SimScenario(n=2000, p=100, beta0=np.repeat([0.7, 0.5, 1.0, -0.7, -0.5, -1.0], 6),
+                       design="binary:0.98", censoring=0.95, seed=3)
+    ds = simulate(scen)
+    visits = []
+    derivs, probe = LinearPredictorState.coord_derivatives, LinearPredictorState.probe_coord_update
+
+    def counting_derivs(self, j):
+        visits.append(0)
+        return derivs(self, j)
+
+    def counting_probe(self, j, delta):
+        visits[-1] += 1
+        return probe(self, j, delta)
+
+    monkeypatch.setattr(LinearPredictorState, "coord_derivatives", counting_derivs)
+    monkeypatch.setattr(LinearPredictorState, "probe_coord_update", counting_probe)
+    config = BarConfig(lambda_rule="bic")
+    fit = fit_bar(ds, config)
+    assert fit.converged
+    assert sum(visits) > 0
+    assert visits.count(config.solver.max_halvings + 1) == 0
+
+
+class _ScriptedState:
+    """One-coordinate stand-in for LinearPredictorState whose probes return
+    scripted outcomes: None (overflow) or a trial with the given loglik
+    change.  Its derivatives put every step's predicted decrease far below
+    the rounding floor of F = 100."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.steps = []
+
+    def __call__(self, ds, beta):  # stands in for the constructor
+        self.beta = np.array(beta, dtype=np.float64)
+        return self
+
+    def refresh(self):
+        pass
+
+    def loglik(self):
+        return -50.0
+
+    def coord_derivatives(self, j):
+        return 1e-14, -1.0
+
+    def probe_coord_update(self, j, delta):
+        self.steps.append(delta)
+        ll_delta = self.outcomes.pop(0) if self.outcomes else None
+        return None if ll_delta is None else SimpleNamespace(delta=delta, loglik_delta=ll_delta)
+
+    def commit(self, trial):
+        self.beta[0] += trial.delta
+
+
+def _scripted_fit(monkeypatch, outcomes):
+    state = _ScriptedState(outcomes)
+    monkeypatch.setattr(solver, "LinearPredictorState", state)
+    ds = SurvivalDataset.from_dense([1.0, 2.0], [1, 1], np.ones((2, 1)))
+    return state, ccd_minimize(ds, PenaltySpec.unpenalized(1), np.zeros(1))
+
+
+def test_overflow_and_nonfinite_trials_keep_halving(monkeypatch):
+    # overflow, then a non-finite objective, then an accepted step: the
+    # rounding-floor stop must not end the visit on the first two
+    state, fit = _scripted_fit(monkeypatch, [None, -math.inf, 0.0])
+    first = state.steps[0]
+    assert state.steps[:3] == [first, first / 2, first / 4]
+    assert fit.beta[0] == first / 4
+    assert fit.converged
+
+
+def test_overflow_on_every_halving_raises(monkeypatch):
+    with pytest.raises(RuntimeError, match="non-finite objective"):
+        _scripted_fit(monkeypatch, [])
