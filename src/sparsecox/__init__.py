@@ -19,7 +19,7 @@ from .data import (
     validate,
 )
 from .likelihood import LinearPredictorState
-from .solver import PenaltySpec, SolverOptions, SolverResult, ccd_minimize
+from .solver import PenaltySpec, SolverResult, ccd_minimize
 from .bar import (
     BarConfig,
     BarFit,
@@ -30,7 +30,7 @@ from .bar import (
     information_criteria,
     path_over,
 )
-from .screening import ScreenOptions, ScreenResult, sjs_coxbar, sjs_screen
+from .screening import ScreenResult, sjs_coxbar, sjs_screen
 from .sim import (
     BenchmarkReport,
     MethodConfig,
@@ -45,10 +45,10 @@ __all__ = [
     "SparseColumnMatrix", "SurvivalDataset", "load_dataset", "save_dataset",
     "standardize", "to_original_scale", "validate",
     "LinearPredictorState",
-    "SolverResult", "PenaltySpec", "SolverOptions", "ccd_minimize",
+    "SolverResult", "PenaltySpec", "ccd_minimize",
     "BarConfig", "BarFit", "PathResult", "fit_ridge", "fit_bar",
     "information_criteria", "path_over", "grouping_bound_check",
-    "ScreenOptions", "ScreenResult", "sjs_screen", "sjs_coxbar",
+    "ScreenResult", "sjs_screen", "sjs_coxbar",
     "SimScenario", "SelectionMetrics", "MethodConfig", "BenchmarkReport",
     "simulate", "score", "run_benchmark",
 ]

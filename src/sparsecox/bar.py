@@ -5,21 +5,24 @@ The estimator starts from a plain ridge fit (uniform weight xi), then
 repeatedly re-solves with per-coordinate weights lam / (2 |beta_j|^(2-d))
 taken from the previous iterate (a Gaussian prior with variance
 |beta_j|^(2-d) / lam against the deviance), warm-starting each solve.
-Coordinates whose magnitude falls below ``zero_threshold`` are locked to
-exact zero and never revisited, so the active space only shrinks.  With
-d = 0 the limit is a local optimizer of an L0-type criterion; lam = ln(n)
-or ln(#events) makes that criterion BIC or censored BIC, which is why
-those two presets need no data-driven tuning.
+Coordinates whose magnitude falls below ``BarConfig.zero_threshold`` are
+locked to exact zero and never revisited, so the active space only shrinks.
+The loop stops once an outer iteration moves every coefficient by less than
+_OUTER_TOL or locks them all, or after _OUTER_MAX iterations.  With d = 0 the
+limit is a local optimizer of an L0-type criterion; lam = ln(n) or
+ln(#events) makes that criterion BIC or censored BIC, which is why those two
+presets need no data-driven tuning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .solver import PenaltySpec, SolverOptions, ccd_minimize
+from .solver import PenaltySpec, ccd_minimize
 from .likelihood import LinearPredictorState
 from .data import MODE_CENTER_SCALE
 
@@ -36,6 +39,8 @@ __all__ = [
 ]
 
 _LAMBDA_RULES = ("fixed", "bic", "cbic")
+_OUTER_MAX = 200
+_OUTER_TOL = 1e-6
 
 
 @dataclass
@@ -53,10 +58,7 @@ class BarConfig:
     lambda_rule: str = "bic"
     lambda_value: float = None
     d: float = 0.0
-    zero_threshold: float = 1e-8
-    outer_max: int = 200
-    outer_tol: float = 1e-6
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    zero_threshold: ClassVar[float] = 1e-8  # |beta_j| below this locks j at exact 0
 
     def __post_init__(self):
         if self.xi <= 0:
@@ -68,10 +70,6 @@ class BarConfig:
                 raise ValueError("fixed rule needs a nonnegative lambda_value")
         if not 0.0 <= self.d <= 1.0:
             raise ValueError("d must lie in [0, 1]")
-        if self.zero_threshold <= 0:
-            raise ValueError("zero_threshold must be positive")
-        if self.outer_max < 1 or self.outer_tol <= 0:
-            raise ValueError("outer_max and outer_tol must be positive")
 
     def resolve_lambda(self, ds):
         if self.lambda_rule == "bic":
@@ -145,17 +143,17 @@ def information_criteria(loglik, df, n, event_count):
             base + math.log(event_count) * df)
 
 
-def fit_ridge(ds, xi, opts=None):
+def fit_ridge(ds, xi):
     """Cox ridge fit with uniform weight xi, started from beta = 0."""
     if xi <= 0:
         raise ValueError("xi must be positive")
-    return ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p), opts)
+    return ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p))
 
 
 def fit_bar(ds, config=None):
     """Fit the BAR estimator (see module docstring).
 
-    Non-convergence, of the outer loop within outer_max reweighting steps
+    Non-convergence, of the outer loop within _OUTER_MAX reweighting steps
     or of any inner solve (ridge start included), is flagged on the result,
     not raised.  Every reported zero coefficient is bit-exact 0, and the
     support can only shrink across outer iterations; an inner solve that
@@ -170,7 +168,7 @@ def fit_bar(ds, config=None):
     zeta = config.zero_threshold
     expo = 2.0 - config.d
 
-    ridge = fit_ridge(ds, config.xi, config.solver)
+    ridge = fit_ridge(ds, config.xi)
     beta = ridge.beta
     frozen = np.abs(beta) < zeta
     beta[frozen] = 0.0
@@ -179,7 +177,7 @@ def fit_bar(ds, config=None):
 
     converged = False
     outer = 0
-    for outer in range(1, config.outer_max + 1):
+    for outer in range(1, _OUTER_MAX + 1):
         weights = np.zeros(ds.p)
         live = ~frozen
         if lam > 0.0:
@@ -188,7 +186,7 @@ def fit_bar(ds, config=None):
             # The factor 2 matters: without it the ln(n) preset over-thresholds
             # weak signals instead of selecting like a BIC rule; see README.
             weights[live] = 0.5 * lam / np.abs(beta[live]) ** expo
-        inner = ccd_minimize(ds, PenaltySpec(weights, frozen), beta, config.solver)
+        inner = ccd_minimize(ds, PenaltySpec(weights, frozen), beta)
         sweeps_total += inner.sweeps
         inner_converged = inner_converged and inner.converged
         change = float(np.max(np.abs(inner.beta - beta))) if ds.p else 0.0
@@ -198,7 +196,7 @@ def fit_bar(ds, config=None):
             raise RuntimeError("support grew across outer iterations")
         frozen = newly
         beta[frozen] = 0.0
-        if change < config.outer_tol:
+        if change < _OUTER_TOL:
             converged = True
             break
         if np.all(frozen):
@@ -227,14 +225,15 @@ def _fit_point(args):
         else:
             config = replace(config, xi=value)
         return fit_bar(ds, config), None
-    except Exception as exc:  # keep scanning past a failed point
+    except (ValueError, OverflowError, RuntimeError) as exc:  # a failed point, not a bug
         return None, str(exc)
 
 
 def path_over(ds, axis, grid, config=None, threads=1):
     """One BAR fit per grid point, varying lambda or xi (other tuning fixed).
 
-    Failures at single grid points are recorded and the path continues.
+    A ValueError, OverflowError or RuntimeError at a grid point is recorded
+    and the path continues; any other exception propagates.
     Grid points may be fit by a worker pool; results do not depend on
     ``threads``.
     """

@@ -170,9 +170,6 @@ def build_parser():
                      default="none")
     _add_tuning_flags(fit)
     fit.add_argument("--out", default=None)
-    fit.add_argument("--seed", type=int, default=None, help="accepted for interface "
-                     "uniformity; fitting is deterministic")
-    fit.add_argument("--threads", type=int, default=1)
     fit.set_defaults(func=cmd_fit)
 
     sim = subs.add_parser("simulate", help="draw a dataset from a scenario file")
@@ -181,7 +178,6 @@ def build_parser():
     sim.add_argument("--out-design", required=True)
     sim.add_argument("--format", choices=["auto", FORMAT_DENSE, FORMAT_SPARSE], default="auto")
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--threads", type=int, default=1)
     sim.set_defaults(func=cmd_simulate)
 
     bench = subs.add_parser("bench", help="replicate benchmark, write a report CSV")
@@ -213,7 +209,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "did not converge" here
+        if exc.code == 2:
+            return 1
+        raise
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 1

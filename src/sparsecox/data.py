@@ -149,19 +149,9 @@ class SurvivalDataset:
     def from_dense(cls, time, status, X):
         """Build from a dense n-by-p matrix; zero entries are not stored."""
         X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        time = np.asarray(time, dtype=np.float64)
-        order = np.lexsort((np.arange(n), -np.asarray(status, dtype=np.float64), -time))
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        cols = []
-        for j in range(X.shape[1]):
-            rows = np.flatnonzero(X[:, j] != 0.0)
-            pos = rank[rows]
-            srt = np.argsort(pos, kind="stable")
-            cols.append(_Column(pos[srt].astype(np.int64), X[rows[srt], j].copy()))
-        design = SparseColumnMatrix(n, X.shape[1], cols)
-        return cls(time, status, design, order=order)
+        n, p = X.shape
+        rows = np.arange(n)
+        return cls.from_columns(time, status, n, p, [(rows, X[:, j]) for j in range(p)])
 
     @classmethod
     def from_columns(cls, time, status, n, p, columns):

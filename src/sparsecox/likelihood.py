@@ -156,18 +156,6 @@ class LinearPredictorState:
         if ev_lo < ds.event_pos.shape[0]:
             self.denom_at_events[ev_lo:] += trial.patch
 
-    def apply_coord_update(self, j, delta):
-        """Commit beta[j] += delta, updating eta/w/denominators at the
-        column's nonzero rows only.  Raises OverflowError (state unchanged)
-        when exp would overflow; the caller is expected to shrink the step.
-        """
-        if not np.isfinite(delta):
-            raise ValueError("non-finite step")
-        trial = self.probe_coord_update(j, delta)
-        if trial is None:
-            raise OverflowError(f"linear predictor overflow updating coordinate {j + 1}")
-        self.commit(trial)
-
     def refresh(self):
         """Rebuild the denominators from w, clearing accumulated patch drift."""
         self.denom_at_events = np.cumsum(self.w)[self.ds.event_end]

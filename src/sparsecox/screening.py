@@ -7,26 +7,23 @@ largest coordinates (ties go to the smaller column index), and debiases the
 kept set with an unpenalized coordinate-descent refit.  The step size is the
 inverse of the largest per-coordinate curvature at the start (the classical
 safe ascent step); a round whose refit cannot be evaluated falls back to
-halved steps.  Iteration stops when the kept set repeats.
+at most _MAX_HALVINGS halved steps.  Iteration stops when the kept set
+repeats, or after _MAX_ROUNDS rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .likelihood import LinearPredictorState
-from .solver import PenaltySpec, SolverOptions, ccd_minimize
+from .solver import PenaltySpec, ccd_minimize
 
-__all__ = ["ScreenOptions", "ScreenResult", "sjs_screen", "sjs_coxbar"]
+__all__ = ["ScreenResult", "sjs_screen", "sjs_coxbar"]
 
-
-@dataclass
-class ScreenOptions:
-    max_iter: int = 50
-    max_halvings: int = 40
-    solver: SolverOptions = field(default_factory=SolverOptions)
+_MAX_ROUNDS = 50
+_MAX_HALVINGS = 40
 
 
 @dataclass
@@ -54,13 +51,13 @@ def _restricted_loglik(ds, beta):
         return -np.inf
 
 
-def _polish(ds, keep, start, start_ll, opts):
+def _polish(ds, keep, start, start_ll):
     """Unpenalized coordinate-descent refit restricted to the kept set.
     Returns None when the start point is too extreme to refit."""
     frozen = np.ones(ds.p, dtype=bool)
     frozen[keep] = False
     try:
-        fit = ccd_minimize(ds, PenaltySpec.unpenalized(ds.p, frozen), start, opts.solver)
+        fit = ccd_minimize(ds, PenaltySpec.unpenalized(ds.p, frozen), start)
     except (RuntimeError, OverflowError):
         return None
     if fit.loglik < start_ll - 1e-8 * (1.0 + abs(start_ll)):
@@ -68,14 +65,12 @@ def _polish(ds, keep, start, start_ll, opts):
     return fit
 
 
-def sjs_screen(ds, m, opts=None):
+def sjs_screen(ds, m):
     """Screen down to at most m columns (see module docstring).
 
     A round in which no halved step yields a refittable kept set stalls:
     the previous set is returned with converged = False.
     """
-    if opts is None:
-        opts = ScreenOptions()
     m = int(m)
     if not 1 <= m <= ds.p:
         raise ValueError(f"m must lie in [1, p]; got m={m}, p={ds.p}")
@@ -90,18 +85,18 @@ def sjs_screen(ds, m, opts=None):
     prev_keep = None
     converged = False
     it = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, _MAX_ROUNDS + 1):
         grad = LinearPredictorState(ds, beta).full_gradient()
         eta = eta0
         accepted = None
         keep = None
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             keep = _top_m(beta + eta * grad, m)
             trial = np.zeros(ds.p)
             trial[keep] = (beta + eta * grad)[keep]
             trial_ll = _restricted_loglik(ds, trial)
             if np.isfinite(trial_ll):
-                fit = _polish(ds, keep, trial, trial_ll, opts)
+                fit = _polish(ds, keep, trial, trial_ll)
                 if fit is not None:
                     accepted = fit
                     break
@@ -124,7 +119,7 @@ def sjs_screen(ds, m, opts=None):
                         iterations=it, converged=converged)
 
 
-def sjs_coxbar(ds, m, config=None, opts=None):
+def sjs_coxbar(ds, m, config=None):
     """Two-stage estimator: screen to at most m columns, fit BAR on the
     screened columns (a no-copy column view), re-embed with exact zeros
     off the screened set.  The result carries the screen on ``screen``."""
@@ -132,7 +127,7 @@ def sjs_coxbar(ds, m, config=None, opts=None):
     # (perfbench/tracer.py) sees the BAR stage
     from .bar import fit_bar
 
-    screen = sjs_screen(ds, m, opts)
+    screen = sjs_screen(ds, m)
     fit = fit_bar(ds.select_columns(screen.selected), config)
     beta = np.zeros(ds.p)
     beta[screen.selected] = fit.beta

@@ -406,8 +406,10 @@ def _run_replicate(args):
 def run_benchmark(scenario, method, replicates, seed, threads=1):
     """Simulate/fit/score ``replicates`` datasets and aggregate the means.
 
-    Per-replicate failures are recorded on the report (and counted in the
-    CSV), never silently dropped.  Results do not depend on ``threads``.
+    A replicate that raises ValueError, OverflowError or RuntimeError is
+    recorded on the report as a failure (and counted in the CSV), never
+    silently dropped; any other exception propagates.  Results do not
+    depend on ``threads``.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -453,5 +455,5 @@ def _run_replicate_safe(args):
     try:
         rep_idx, metrics, ms = _run_replicate(args)
         return rep_idx, (metrics, ms)
-    except Exception as exc:
+    except (ValueError, OverflowError, RuntimeError) as exc:
         return rep, f"{type(exc).__name__}: {exc}"

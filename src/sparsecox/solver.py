@@ -16,8 +16,11 @@ the quadratic model's predicted decrease of the next halved step,
 
 is within a few ulps of |F|, where no trial can beat rounding; the visit
 is then skipped.  A step that overflows or gives a non-finite objective is
-halved without that test, at most max_halvings times.  The recorded
+halved without that test, at most _MAX_HALVINGS times.  The recorded
 objective trace is therefore non-increasing by construction.
+
+A solve converges when one sweep satisfies both |dF| <= _TOL_OBJ * (1 + |F|)
+and max|d beta_j| <= _TOL_BETA, and gives up after _MAX_SWEEPS sweeps.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .likelihood import LinearPredictorState
 
-__all__ = ["PenaltySpec", "SolverOptions", "SolverResult", "ccd_minimize"]
+__all__ = ["PenaltySpec", "SolverResult", "ccd_minimize"]
 
 
 class PenaltySpec:
@@ -63,31 +66,6 @@ class PenaltySpec:
         return cls(np.zeros(p), frozen)
 
 
-@dataclass
-class SolverOptions:
-    """Tolerances and trust-region constants for ccd_minimize.
-
-    Convergence needs both tests in the same sweep: the objective change
-    satisfies |dF| <= tol_obj * (1 + |F|) and the largest applied step
-    satisfies max|d beta_j| <= tol_beta.
-    """
-
-    max_sweeps: int = 1000
-    tol_obj: float = 1e-8
-    tol_beta: float = 1e-6
-    trust_init: float = 1.0
-    trust_expand: float = 2.0
-    trust_shrink: float = 0.5
-    trust_min: float = 1e-8
-    max_halvings: int = 30
-
-    def __post_init__(self):
-        for name in ("max_sweeps", "tol_obj", "tol_beta", "trust_init",
-                     "trust_expand", "trust_shrink", "trust_min"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 @dataclass(frozen=True)
 class SolverResult:
     """One ccd_minimize solve.  ``loglik`` and ``objective`` are recomputed
@@ -110,6 +88,14 @@ class SolverResult:
         return int(np.count_nonzero(self.beta))
 
 
+_MAX_SWEEPS = 1000
+_TOL_OBJ = 1e-8
+_TOL_BETA = 1e-6
+_TRUST_INIT = 1.0  # per-coordinate trust radius: start, growth, shrink, floor
+_TRUST_EXPAND = 2.0
+_TRUST_SHRINK = 0.5
+_TRUST_MIN = 1e-8
+_MAX_HALVINGS = 30
 _EPS_UNPENALIZED = 1e-12  # curvature guard for w_j = 0 coordinates
 _ROUNDING_ULPS = 4.0  # predicted decreases within this many ulps of |F| end a visit
 
@@ -122,7 +108,7 @@ def _coord_step(b, g1, g2, w_j):
     return g1 / (-g2 + _EPS_UNPENALIZED)
 
 
-def ccd_minimize(ds, penalty, beta0, opts=None):
+def ccd_minimize(ds, penalty, beta0):
     """Minimize -2*loglik + sum_j w_j beta_j^2 by cyclic coordinate descent.
 
     Parameters
@@ -130,14 +116,11 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
     ds : SurvivalDataset
     penalty : PenaltySpec
     beta0 : starting coefficients; frozen coordinates must be zero.
-    opts : SolverOptions, optional.
 
-    Returns a SolverResult; ``converged`` is False when max_sweeps ran out
+    Returns a SolverResult; ``converged`` is False when _MAX_SWEEPS ran out
     (not an error).  A non-finite objective that survives every step
     halving raises RuntimeError.
     """
-    if opts is None:
-        opts = SolverOptions()
     beta0 = np.asarray(beta0, dtype=np.float64)
     if beta0.shape[0] != ds.p:
         raise ValueError("beta0 length does not match p")
@@ -156,11 +139,11 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
     pen_run = float(np.dot(weights[live], beta[live] ** 2))
     f_last = -2.0 * ll_run + pen_run
     trace = [f_last]
-    radius = np.full(ds.p, opts.trust_init)
+    radius = np.full(ds.p, _TRUST_INIT)
 
     converged = False
     sweep = 0
-    for sweep in range(1, opts.max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         state.refresh()
         ll_run = state.loglik()
         pen_run = float(np.dot(weights[live], beta[live] ** 2))
@@ -178,12 +161,12 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
             elif step < -r:
                 step = -r
             if step == 0.0:
-                radius[j] = max(r * opts.trust_shrink, opts.trust_min)
+                radius[j] = max(r * _TRUST_SHRINK, _TRUST_MIN)
                 continue
 
             applied = 0.0
             saw_finite = False
-            for _ in range(opts.max_halvings + 1):
+            for _ in range(_MAX_HALVINGS + 1):
                 trial = state.probe_coord_update(j, step)
                 rejected_finite = False
                 if trial is not None:
@@ -214,10 +197,10 @@ def ccd_minimize(ds, penalty, beta0, opts=None):
             mag = abs(applied)
             if mag > max_step:
                 max_step = mag
-            radius[j] = max(opts.trust_expand * mag, r * opts.trust_shrink, opts.trust_min)
+            radius[j] = max(_TRUST_EXPAND * mag, r * _TRUST_SHRINK, _TRUST_MIN)
 
-        obj_ok = abs(f_sweep_start - f_last) <= opts.tol_obj * (1.0 + abs(f_sweep_start))
-        if obj_ok and max_step <= opts.tol_beta:
+        obj_ok = abs(f_sweep_start - f_last) <= _TOL_OBJ * (1.0 + abs(f_sweep_start))
+        if obj_ok and max_step <= _TOL_BETA:
             converged = True
             break
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -60,6 +61,12 @@ def test_ridge_shrinks_with_xi(rng):
 # -- BAR outer loop --------------------------------------------------------
 
 
+def test_bar_config_tunes_only_lambda_xi_and_d():
+    names = [f.name for f in dataclasses.fields(BarConfig)]
+    assert names == ["xi", "lambda_rule", "lambda_value", "d"]
+    assert BarConfig().zero_threshold == 1e-8
+
+
 def test_bar_zero_design_converges_immediately():
     ds = SurvivalDataset.from_dense([1.0, 2.0], [1, 1], np.zeros((2, 3)))
     fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
@@ -82,8 +89,8 @@ def test_bar_support_regrowth_raises(monkeypatch, rng):
     ds = SurvivalDataset.from_dense(t, status, X)
     solve = bar.ccd_minimize
 
-    def reviving_solve(ds, penalty, beta0, opts=None):
-        fit = solve(ds, penalty, beta0, opts)
+    def reviving_solve(ds, penalty, beta0):
+        fit = solve(ds, penalty, beta0)
         if penalty.frozen[2]:
             fit = replace(fit, beta=np.where(penalty.frozen, 0.5, fit.beta))
         return fit
@@ -105,9 +112,9 @@ def test_bar_converged_covers_every_inner_solve(monkeypatch, rng):
 
     solve, calls = bar.ccd_minimize, []
 
-    def first_outer_unconverged(ds, penalty, beta0, opts=None):
+    def first_outer_unconverged(ds, penalty, beta0):
         calls.append(None)
-        fit = solve(ds, penalty, beta0, opts)
+        fit = solve(ds, penalty, beta0)
         return replace(fit, converged=False) if len(calls) == 2 else fit
 
     monkeypatch.setattr(bar, "ccd_minimize", first_outer_unconverged)
@@ -149,11 +156,10 @@ def test_bar_monotone_support_and_exact_zeros(rng):
 
 
 def test_bar_fixed_point_residual(rng):
-    # one more outer iteration at the reported fit moves beta < outer_tol
+    # one more outer iteration at the reported fit moves beta < _OUTER_TOL
     scen = desk_scenario(n=300, p=10, seed=3)
     ds = simulate(scen)
-    cfg = BarConfig(lambda_rule="bic")
-    fit = fit_bar(ds, cfg)
+    fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
     assert fit.converged
     from sparsecox.solver import PenaltySpec, ccd_minimize
 
@@ -161,8 +167,8 @@ def test_bar_fixed_point_residual(rng):
     weights = np.zeros(ds.p)
     live = ~frozen
     weights[live] = 0.5 * fit.lam / np.abs(fit.beta[live]) ** 2
-    again = ccd_minimize(ds, PenaltySpec(weights, frozen), fit.beta, cfg.solver)
-    assert np.max(np.abs(again.beta - fit.beta)) < cfg.outer_tol
+    again = ccd_minimize(ds, PenaltySpec(weights, frozen), fit.beta)
+    assert np.max(np.abs(again.beta - fit.beta)) < bar._OUTER_TOL
 
 
 def test_bar_d_parameter_less_sparse_on_average():
@@ -250,6 +256,22 @@ def test_path_singleton_and_failed_points(rng):
     assert len(path.fits) == 1 and path.errors == [None]
     single = fit_bar(ds, BarConfig(lambda_rule="fixed", lambda_value=math.log(ds.n)))
     np.testing.assert_array_equal(path.fits[0].beta, single.beta)
+
+
+def test_path_records_fit_failures_and_propagates_bugs(monkeypatch):
+    ds = simulate(desk_scenario(n=60, p=3, seed=13))
+
+    def failing_fit(exc):
+        def fit(ds, config):
+            raise exc("no fit here")
+        return fit
+
+    monkeypatch.setattr(bar, "fit_bar", failing_fit(ValueError))
+    path = path_over(ds, "lambda", [1.0, 2.0], BarConfig(), threads=1)
+    assert path.fits == [None, None] and path.errors == ["no fit here"] * 2
+    monkeypatch.setattr(bar, "fit_bar", failing_fit(TypeError))
+    with pytest.raises(TypeError, match="no fit here"):
+        path_over(ds, "lambda", [1.0, 2.0], BarConfig(), threads=1)
 
 
 def test_path_huge_lambda_empties_support(rng):

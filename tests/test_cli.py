@@ -141,6 +141,20 @@ def test_bad_threads(tmp_path, scenario_file, capsys):
     assert code == 1
 
 
+def test_usage_errors_exit_1_not_2(simulated_files, capsys):
+    # 2 is reserved for "fit did not converge"
+    surv, design = simulated_files
+    fit = ["fit", "--surv", str(surv), "--design", str(design)]
+    assert main(fit + ["--threads", "2"]) == 1  # fit takes no --threads
+    assert main(fit + ["--bogus"]) == 1
+    assert main(["fit", "--surv", str(surv)]) == 1
+    assert "usage:" in capsys.readouterr().err
+    for argv in (["--help"], ["--version"], ["fit", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+
+
 @pytest.fixture
 def simulated_files(tmp_path, scenario_file):
     surv, design = tmp_path / "s.csv", tmp_path / "d.dat"

@@ -37,6 +37,28 @@ def test_sparse_empty_columns(tmp_path):
     assert all(ds.design.nnz(j) == 0 for j in range(3))
 
 
+def test_from_dense_matches_from_columns(rng):
+    n, p = 50, 6
+    X = rng.normal(size=(n, p))
+    X[rng.random((n, p)) < 0.6] = 0.0
+    X[:, 3] = 0.0
+    t = rng.integers(1, 10, size=n).astype(float)  # tied times
+    status = (rng.random(n) < 0.7).astype(int)
+    dense = SurvivalDataset.from_dense(t, status, X)
+    # rows in any order, stored zeros included: from_columns must drop them
+    columns = [(rows, X[rows, j]) for j, rows in enumerate(rng.permutation(n) for _ in range(p))]
+    coord = SurvivalDataset.from_columns(t, status, n, p, columns)
+    assert validate(dense).ok
+    np.testing.assert_array_equal(dense.order, coord.order)
+    np.testing.assert_array_equal(dense.event_end, coord.event_end)
+    for a, b in zip(dense.design.columns, coord.design.columns, strict=True):
+        assert a.pos.dtype == b.pos.dtype == np.int64
+        np.testing.assert_array_equal(a.pos, b.pos)
+        np.testing.assert_array_equal(a.val, b.val)
+    assert dense.design.nnz(3) == 0
+    np.testing.assert_array_equal(dense.dense_design_original_order(), X)
+
+
 @pytest.mark.parametrize("fmt", [FORMAT_DENSE, FORMAT_SPARSE])
 def test_save_load_round_trip(rng, tmp_path, fmt):
     ds, _ = make_dataset(rng, 40, 5)

@@ -129,16 +129,16 @@ def test_second_derivative_nonpositive(rng):
             assert st.coord_derivatives(j)[1] <= 0.0
 
 
-def test_apply_coord_update_identity_and_zero_column(rng):
+def test_coord_update_identity_and_zero_column(rng):
     ds, _ = make_dataset(rng, 15, 2)
     st = LinearPredictorState(ds, np.array([0.3, -0.2]))
     eta_before = st.eta.copy()
-    st.apply_coord_update(0, 0.0)
+    st.commit(st.probe_coord_update(0, 0.0))
     np.testing.assert_array_equal(st.eta, eta_before)
 
     dsz = SurvivalDataset.from_dense(ds.time, ds.status, np.zeros((15, 1)))
     stz = LinearPredictorState(dsz, np.zeros(1))
-    stz.apply_coord_update(0, 5.0)
+    stz.commit(stz.probe_coord_update(0, 5.0))
     assert stz.beta[0] == 5.0
     np.testing.assert_array_equal(stz.eta, np.zeros(15))
 
@@ -148,7 +148,7 @@ def test_incremental_updates_match_recompute(rng):
     st = LinearPredictorState(ds, np.zeros(5))
     for _ in range(60):
         j = int(rng.integers(0, 5))
-        st.apply_coord_update(j, float(rng.uniform(-0.2, 0.2)))
+        st.commit(st.probe_coord_update(j, float(rng.uniform(-0.2, 0.2))))
     fresh = LinearPredictorState(ds, st.beta)
     np.testing.assert_allclose(st.eta, fresh.eta, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(st.denom_at_events, fresh.denom_at_events, rtol=1e-9)
@@ -159,8 +159,7 @@ def test_update_overflow_leaves_state_unchanged(rng):
     st = LinearPredictorState(ds, np.zeros(1))
     eta = st.eta.copy()
     denom = st.denom_at_events.copy()
-    with pytest.raises(OverflowError):
-        st.apply_coord_update(0, 1e6)
+    assert st.probe_coord_update(0, 1e6) is None
     np.testing.assert_array_equal(st.eta, eta)
     np.testing.assert_array_equal(st.denom_at_events, denom)
     assert st.beta[0] == 0.0

@@ -1,9 +1,12 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps package functions and
-methods by name on the modules and classes where callers look them up.  A
-renamed or moved name makes ``Tracer.install`` raise KeyError, and a callee
-that is no longer looked up there drops out of the per-layer numbers; this
-test catches both."""
+"""The benchmark (perfbench/) reads the package by name.  Its tracer wraps
+package functions and methods on the modules and classes where callers look
+them up: a renamed or moved name makes ``Tracer.install`` raise KeyError, and
+a callee that is no longer looked up there drops out of the per-layer
+numbers.  Its workloads and run script read further names (such as
+``BarConfig().zero_threshold`` and ``SparseColumnMatrix.column``); a rename
+there fails every benchmark operation.  These tests catch all of that."""
 
+import os
 from pathlib import Path
 
 import sparsecox as sc
@@ -27,3 +30,17 @@ def test_tracer_sees_every_layer(monkeypatch):
     for name in ("fit_ridge", "probe", "commit", "derivs", "full_gradient", "refresh",
                  "state_build"):
         assert tracer.calls(name) > 0, name
+
+
+def test_desk_study_replicate_passes_its_checks(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # run.py pins BLAS threads
+    from run import store_mb
+    from workloads import DeskStudy
+
+    wl = DeskStudy(seed=5)
+    wl.prepare(sc, tmp_path)
+    ds = wl.produce(sc, 0)
+    assert wl.check(sc, 0, ds, wl.fit(sc, ds)) == []
+    assert wl.summary_problems() == []
+    assert store_mb(ds) > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsecox import MethodConfig, SimScenario, fit_bar, run_benchmark, score, simulate
+from sparsecox import sim
 from sparsecox.sim import format_beta_spec, parse_beta_spec, replicate_seed
 
 
@@ -166,6 +167,18 @@ def test_run_benchmark_records_failures(tmp_path):
     header, row = out.read_text().strip().splitlines()
     assert header.split(",")[-1] == "failures"
     assert row.split(",")[-1] == str(len(rep.failures))
+
+
+def test_run_benchmark_propagates_bugs(monkeypatch):
+    # ValueError is a failed replicate (test above); a TypeError is a defect
+    def broken_fit(ds, config):
+        raise TypeError("not a replicate failure")
+
+    monkeypatch.setattr(sim, "fit_bar", broken_fit)
+    scen = SimScenario(n=50, p=2, beta0=[0.5], design="ar1:0.5", censoring=0.2, seed=0)
+    with pytest.raises(TypeError, match="not a replicate failure"):
+        run_benchmark(scen, MethodConfig.from_name("bic-coxbar"), replicates=2, seed=1,
+                      threads=1)
 
 
 def test_run_benchmark_validates_reps():

@@ -11,7 +11,6 @@ from sparsecox import (
     LinearPredictorState,
     PenaltySpec,
     SimScenario,
-    SolverOptions,
     SurvivalDataset,
     ccd_minimize,
     fit_bar,
@@ -147,10 +146,10 @@ def test_result_self_consistent(rng):
     np.testing.assert_array_equal(fit.support, np.flatnonzero(fit.beta))
 
 
-def test_max_sweeps_flags_nonconvergence(rng):
+def test_max_sweeps_flags_nonconvergence(rng, monkeypatch):
     ds, _ = make_dataset(rng, 60, 4, beta_scale=0.8)
-    fit = ccd_minimize(ds, PenaltySpec.ridge(4, 0.1), np.zeros(4),
-                       SolverOptions(max_sweeps=1))
+    monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
+    fit = ccd_minimize(ds, PenaltySpec.ridge(4, 0.1), np.zeros(4))
     assert not fit.converged and fit.sweeps == 1
 
 
@@ -165,7 +164,7 @@ def test_penalty_spec_validation():
 
 def test_halving_stops_at_rounding_floor(monkeypatch):
     # near a coordinate's optimum every trial step loses to rounding; such a
-    # visit used to probe all max_halvings + 1 steps before giving up
+    # visit used to probe all _MAX_HALVINGS + 1 steps before giving up
     scen = SimScenario(n=2000, p=100, beta0=np.repeat([0.7, 0.5, 1.0, -0.7, -0.5, -1.0], 6),
                        design="binary:0.98", censoring=0.95, seed=3)
     ds = simulate(scen)
@@ -182,11 +181,10 @@ def test_halving_stops_at_rounding_floor(monkeypatch):
 
     monkeypatch.setattr(LinearPredictorState, "coord_derivatives", counting_derivs)
     monkeypatch.setattr(LinearPredictorState, "probe_coord_update", counting_probe)
-    config = BarConfig(lambda_rule="bic")
-    fit = fit_bar(ds, config)
+    fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
     assert fit.converged
     assert sum(visits) > 0
-    assert visits.count(config.solver.max_halvings + 1) == 0
+    assert visits.count(solver._MAX_HALVINGS + 1) == 0
 
 
 class _ScriptedState:
