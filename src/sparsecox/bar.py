@@ -75,8 +75,8 @@ class BarConfig:
         if self.lambda_rule == "bic":
             return math.log(ds.n)
         if self.lambda_rule == "cbic":
-            if ds.event_count < 1:
-                raise ValueError("cbic rule needs at least one event")
+            if ds.event_count < 2:  # ln 1 = 0 would silently leave the fit unpenalized
+                raise ValueError("cbic rule needs at least two events")
             return math.log(ds.event_count)
         return float(self.lambda_value)
 

@@ -5,12 +5,12 @@ Subjects are kept internally in descending-time order so that every risk set
 ordered events-before-censorings (stable by input index), and tied event
 times share one risk set per the Breslow convention.  Design columns are
 stored as (position, value) pairs in that same order, which is what the
-coordinate-descent kernels scan.
+coordinate-descent kernels scan.  Every array a dataset holds is read-only.
 """
 
 from __future__ import annotations
 
-import copy
+from functools import cached_property
 
 import numpy as np
 
@@ -31,51 +31,44 @@ MODE_CENTER_SCALE = "center-and-scale"
 _MODES = (MODE_NONE, MODE_SCALE, MODE_CENTER_SCALE)
 
 
-class _Column:
-    """One sparse column: positions (ascending, in sorted-subject order) and values."""
-
-    __slots__ = ("pos", "val")
-
-    def __init__(self, pos, val):
-        self.pos = pos
-        self.val = val
-
-    @property
-    def nnz(self):
-        return self.pos.shape[0]
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 class SparseColumnMatrix:
     """Column-oriented sparse matrix aligned to a dataset's sorted order.
 
-    The dense value of entry (k, j) is ``stored - offset[j]``: centering is
-    carried as a per-column offset so that standardization never densifies
-    the storage.  ``scale[j]`` maps standardized coefficients back to the
-    original covariate scale (beta_original = beta_stored / scale).
+    ``columns[j]`` is the pair (pos, val) of column j's stored entries, pos
+    ascending.  The dense value of entry (k, j) is ``stored - offset[j]``:
+    centering is carried as a per-column offset so that standardization never
+    densifies the storage.  ``scale[j]`` maps standardized coefficients back
+    to the original covariate scale (beta_original = beta_stored / scale).
+    The matrix makes the arrays it is given read-only.
     """
 
     def __init__(self, n, p, columns, scale=None, offset=None, standardization=MODE_NONE):
         self.n = int(n)
         self.p = int(p)
-        self.columns = columns
+        self.columns = tuple(columns)
         self.scale = np.ones(p) if scale is None else scale
         self.offset = np.zeros(p) if offset is None else offset
         self.standardization = standardization
+        _frozen(self.scale, self.offset, *(a for pair in self.columns for a in pair))
 
     def column(self, j):
-        c = self.columns[j]
-        return c.pos, c.val
+        return self.columns[j]
 
     def nnz(self, j=None):
         if j is None:
-            return sum(c.nnz for c in self.columns)
-        return self.columns[j].nnz
+            return sum(pos.shape[0] for pos, _ in self.columns)
+        return self.columns[j][0].shape[0]
 
     def dense_column(self, j):
         """Materialize column j (dense semantics, length n)."""
-        c = self.columns[j]
+        pos, val = self.columns[j]
         out = np.zeros(self.n)
-        out[c.pos] = c.val
+        out[pos] = val
         if self.offset[j] != 0.0:
             out -= self.offset[j]
         return out
@@ -95,16 +88,16 @@ class SurvivalDataset:
         (descending time; ties: events first, then stable by input index).
     design : SparseColumnMatrix in sorted-position space.
     event_pos : sorted positions with status 1 (ascending).
-    event_end : for each event, the last sorted position with an equal or
-        later... strictly: the last position with time >= the event's time,
-        i.e. the inclusive end of its risk-set prefix (Breslow ties share it).
+    event_end : for each event, the last sorted position with time >= the
+        event's time, i.e. the inclusive end of its risk-set prefix (Breslow
+        ties share it).
 
-    Treat instances as read-only after construction; they may be shared
-    across concurrent workers.
+    The constructor copies ``time``, ``status`` and ``order``; every array
+    held by the dataset or its design is read-only.
     """
 
     def __init__(self, time, status, design, order=None):
-        time = np.asarray(time, dtype=np.float64)
+        time = np.array(time, dtype=np.float64)
         status = np.asarray(status)
         n = time.shape[0]
         if status.shape[0] != n:
@@ -129,7 +122,7 @@ class SurvivalDataset:
         self.design = design
         if order is None:
             order = np.lexsort((np.arange(n), -status, -time))
-        self.order = np.asarray(order, dtype=np.int64)
+        self.order = np.array(order, dtype=np.int64)
 
         self.time_sorted = time[self.order]
         self.status_sorted = status[self.order]
@@ -139,9 +132,23 @@ class SurvivalDataset:
         rev = self.time_sorted[::-1]
         cnt_ge = n - np.searchsorted(rev, self.time_sorted[self.event_pos], side="left")
         self.event_end = (cnt_ge - 1).astype(np.int64)
-        # per-column event-scan memo, filled lazily by the likelihood kernels;
-        # it depends on this dataset's events, so it is never shared
-        self._scan_memo = [None] * self.p
+        _frozen(self.time, self.status, self.order, self.time_sorted, self.status_sorted,
+                self.event_pos, self.event_end)
+
+    @cached_property
+    def column_scans(self):
+        """(pos, val, ev_lo, ev_idx, sum_delta_x) per column, built for all
+        columns on first use: the column, the first event whose risk set
+        touches it, the count of its entries inside each later event's risk
+        set, and its sum over event rows."""
+        scans = []
+        for pos, val in self.design.columns:
+            first = pos[0] if pos.shape[0] else self.n  # an empty column starts past every event
+            ev_lo = int(np.searchsorted(self.event_end, first, side="left"))
+            ev_idx = np.searchsorted(pos, self.event_end[ev_lo:], side="right").astype(np.int32)
+            _frozen(ev_idx)
+            scans.append((pos, val, ev_lo, ev_idx, float(val[self.status_sorted[pos] == 1].sum())))
+        return tuple(scans)
 
     # -- constructors ----------------------------------------------------
 
@@ -168,17 +175,16 @@ class SurvivalDataset:
             rows, vals = rows[keep], vals[keep]
             pos = rank[rows]
             srt = np.argsort(pos, kind="stable")
-            cols.append(_Column(pos[srt], vals[srt]))
+            cols.append((pos[srt], vals[srt]))
         design = SparseColumnMatrix(n, p, cols)
         return cls(time, status, design, order=order)
 
     # -- views ------------------------------------------------------------
 
     def select_columns(self, indices):
-        """Column-subset view sharing all arrays (no copies of column data)."""
+        """Column-subset dataset sharing the column arrays (no copies of column data)."""
         indices = np.asarray(indices, dtype=np.int64)
-        view = copy.copy(self)
-        view.design = SparseColumnMatrix(
+        design = SparseColumnMatrix(
             self.n,
             int(indices.shape[0]),
             [self.design.columns[int(j)] for j in indices],
@@ -186,9 +192,7 @@ class SurvivalDataset:
             offset=self.design.offset[indices],
             standardization=self.design.standardization,
         )
-        view.p = view.design.p
-        view._scan_memo = [None] * view.p
-        return view
+        return SurvivalDataset(self.time, self.status, design, order=self.order)
 
     def dense_design_original_order(self):
         """Dense design with rows in the original input order (small data only)."""
@@ -240,16 +244,16 @@ def validate(ds):
         if not (np.all(in_risk[: end + 1]) and not np.any(in_risk[end + 1 :])):
             problems.append(f"risk set for event at position {e} is not a prefix")
             break
-    for j, c in enumerate(ds.design.columns):
-        if c.nnz == 0:
+    for j, (pos, val) in enumerate(ds.design.columns):
+        if pos.shape[0] == 0:
             continue
-        if np.any(np.diff(c.pos) <= 0):
+        if np.any(np.diff(pos) <= 0):
             problems.append(f"column {j + 1}: positions not strictly increasing")
             break
-        if c.pos[0] < 0 or c.pos[-1] >= n:
+        if pos[0] < 0 or pos[-1] >= n:
             problems.append(f"column {j + 1}: position out of range")
             break
-        if not np.all(np.isfinite(c.val)) or np.any(c.val == 0.0):
+        if not np.all(np.isfinite(val)) or np.any(val == 0.0):
             problems.append(f"column {j + 1}: non-finite or stored-zero value")
             break
     return ValidationReport(len(problems) == 0, problems)
@@ -281,24 +285,24 @@ def standardize(ds, mode):
     cols = []
     scale = np.ones(p)
     offset = np.zeros(p)
-    for j, c in enumerate(ds.design.columns):
-        s1 = float(c.val.sum())
-        s2 = float(np.dot(c.val, c.val))
+    for j, (pos, val) in enumerate(ds.design.columns):
+        s1 = float(val.sum())
+        s2 = float(np.dot(val, val))
         if mode == MODE_CENTER_SCALE:
             mean = s1 / n
             var = (s2 - n * mean * mean) / (n - 1)
             if var <= 0.0:
                 raise ValueError(f"constant column x{j + 1} cannot be centered and scaled")
             s = float(np.sqrt(var))
-            cols.append(_Column(c.pos, c.val / s))
+            cols.append((pos, val / s))
             scale[j] = s
             offset[j] = mean / s
         else:  # scale-only
             rms = float(np.sqrt(s2 / n))
             if rms == 0.0:
-                cols.append(_Column(c.pos, c.val.copy()))
+                cols.append((pos, val))
                 continue
-            cols.append(_Column(c.pos, c.val / rms))
+            cols.append((pos, val / rms))
             scale[j] = rms
     design = SparseColumnMatrix(n, p, cols, scale=scale, offset=offset, standardization=mode)
     return SurvivalDataset(ds.time, ds.status, design, order=ds.order)
@@ -468,8 +472,8 @@ def save_dataset(ds, survival_file, design_file, format):
         total = ds.design.nnz()
         fh.write(f"{ds.n} {ds.p} {total}\n")
         for j in range(ds.p):
-            c = ds.design.columns[j]
-            rows = ds.order[c.pos]
+            pos, val = ds.design.columns[j]
+            rows = ds.order[pos]
             srt = np.argsort(rows, kind="stable")
             for k in srt:
-                fh.write(f"{rows[k] + 1} {j + 1} {_fmt(c.val[k])}\n")
+                fh.write(f"{rows[k] + 1} {j + 1} {_fmt(val[k])}\n")

@@ -13,7 +13,9 @@ derivatives are
 
 Per column the scan touches only the nonzero entries plus the events at or
 after the first nonzero, so an all-zero suffix of a column costs nothing.
-Penalty terms are the solver's business, never added here.
+The per-column event offsets come from the dataset's read-only
+``column_scans``, built once per dataset.  Penalty terms are the solver's
+business, never added here.
 """
 
 from __future__ import annotations
@@ -21,28 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["LinearPredictorState"]
-
-
-def _column_scan_cache(ds, j):
-    """Event-scan memo of column j in ds, built on first use and kept in the
-    dataset's own per-column list (never on the column, which other datasets
-    may share).
-
-    Returns (column, ev_lo, ev_idx, sum_delta_x): the column itself, the
-    first event whose risk set touches it, the per-event count of column entries
-    inside the risk set, and the column's sum over event rows.
-    """
-    scan = ds._scan_memo[j]
-    if scan is None:
-        c = ds.design.columns[j]
-        if c.nnz == 0:
-            scan = (c, ds.event_pos.shape[0], np.empty(0, dtype=np.int32), 0.0)
-        else:
-            lo = int(np.searchsorted(ds.event_end, c.pos[0], side="left"))
-            ev_idx = np.searchsorted(c.pos, ds.event_end[lo:], side="right").astype(np.int32)
-            scan = (c, lo, ev_idx, float(c.val[ds.status_sorted[c.pos] == 1].sum()))
-        ds._scan_memo[j] = scan
-    return scan
 
 
 class _CoordTrial:
@@ -76,9 +56,9 @@ class LinearPredictorState:
         self.eta_limit = 700.0 - float(np.log(ds.n + 1.0))
         eta = np.zeros(ds.n)
         for j in np.flatnonzero(beta):
-            c = ds.design.columns[j]
-            if c.nnz:
-                eta[c.pos] += beta[j] * c.val
+            pos, val = ds.design.columns[j]
+            if pos.shape[0]:
+                eta[pos] += beta[j] * val
         bad = np.flatnonzero(np.abs(eta) > self.eta_limit)
         if bad.size:
             subject = int(ds.order[bad[0]])
@@ -100,13 +80,12 @@ class LinearPredictorState:
     def coord_derivatives(self, j):
         """(g1, g2) of the log-partial likelihood for coordinate j."""
         ds = self.ds
-        c, ev_lo, ev_idx, sum_delta_x = _column_scan_cache(ds, j)
-        if c.nnz == 0 or ev_lo >= ds.event_pos.shape[0]:
+        pos, val, ev_lo, ev_idx, sum_delta_x = ds.column_scans[j]
+        if ev_lo >= ds.event_pos.shape[0]:  # also every empty column
             return 0.0, 0.0
-        wj = self.w[c.pos]
-        aw = c.val * wj
+        aw = val * self.w[pos]
         cum_a = np.cumsum(aw)
-        cum_b = np.cumsum(c.val * aw)
+        cum_b = np.cumsum(val * aw)
         sel = ev_idx - 1
         d = self.denom_at_events[ev_lo:]
         r = cum_a[sel] / d
@@ -127,14 +106,14 @@ class LinearPredictorState:
         when exp(eta) would overflow.
         """
         ds = self.ds
-        c, ev_lo, ev_idx, sum_delta_x = _column_scan_cache(ds, j)
-        if c.nnz == 0 or delta == 0.0:
+        pos, val, ev_lo, ev_idx, sum_delta_x = ds.column_scans[j]
+        if pos.shape[0] == 0 or delta == 0.0:
             return _CoordTrial(j, delta, None, None, None, 0.0)
-        new_eta = self.eta[c.pos] + delta * c.val
+        new_eta = self.eta[pos] + delta * val
         if np.abs(new_eta).max() > self.eta_limit:
             return None
         new_w = np.exp(new_eta)
-        patch = np.cumsum(new_w - self.w[c.pos])[ev_idx - 1]
+        patch = np.cumsum(new_w - self.w[pos])[ev_idx - 1]
         if ev_lo < ds.event_pos.shape[0]:
             d_old = self.denom_at_events[ev_lo:]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -150,9 +129,9 @@ class LinearPredictorState:
         self.beta[j] += trial.delta
         if trial.new_eta is None:
             return
-        c, ev_lo, _, _ = _column_scan_cache(ds, j)
-        self.eta[c.pos] = trial.new_eta
-        self.w[c.pos] = trial.new_w
+        pos, _, ev_lo, _, _ = ds.column_scans[j]
+        self.eta[pos] = trial.new_eta
+        self.w[pos] = trial.new_w
         if ev_lo < ds.event_pos.shape[0]:
             self.denom_at_events[ev_lo:] += trial.patch
 

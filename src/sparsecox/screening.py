@@ -44,14 +44,7 @@ def _top_m(values, m):
     return np.sort(order[:m])
 
 
-def _restricted_loglik(ds, beta):
-    try:
-        return LinearPredictorState(ds, beta).loglik()
-    except OverflowError:
-        return -np.inf
-
-
-def _polish(ds, keep, start, start_ll):
+def _polish(ds, keep, start):
     """Unpenalized coordinate-descent refit restricted to the kept set.
     Returns None when the start point is too extreme to refit."""
     frozen = np.ones(ds.p, dtype=bool)
@@ -60,6 +53,7 @@ def _polish(ds, keep, start, start_ll):
         fit = ccd_minimize(ds, PenaltySpec.unpenalized(ds.p, frozen), start)
     except (RuntimeError, OverflowError):
         return None
+    start_ll = -0.5 * fit.trace[0]  # exact: the penalty is zero
     if fit.loglik < start_ll - 1e-8 * (1.0 + abs(start_ll)):
         raise RuntimeError("polish decreased the likelihood")
     return fit
@@ -88,18 +82,13 @@ def sjs_screen(ds, m):
     for it in range(1, _MAX_ROUNDS + 1):
         grad = LinearPredictorState(ds, beta).full_gradient()
         eta = eta0
-        accepted = None
-        keep = None
         for _ in range(_MAX_HALVINGS + 1):
             keep = _top_m(beta + eta * grad, m)
             trial = np.zeros(ds.p)
             trial[keep] = (beta + eta * grad)[keep]
-            trial_ll = _restricted_loglik(ds, trial)
-            if np.isfinite(trial_ll):
-                fit = _polish(ds, keep, trial, trial_ll)
-                if fit is not None:
-                    accepted = fit
-                    break
+            accepted = _polish(ds, keep, trial)
+            if accepted is not None:
+                break
             eta *= 0.5
         if accepted is None:
             sel = prev_keep if prev_keep is not None else _top_m(beta, m)

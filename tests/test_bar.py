@@ -83,6 +83,17 @@ def test_bar_requires_events(rng):
         fit_bar(ds, BarConfig())
 
 
+def test_cbic_rule_refuses_one_event(rng):
+    # ln(1) = 0 would silently return the unpenalized fit with every column
+    _, (t, _, X) = make_dataset(rng, 40, 3)
+    status = np.zeros(40)
+    status[7] = 1
+    ds = SurvivalDataset.from_dense(t, status, X)
+    with pytest.raises(ValueError, match="cbic rule needs at least two events"):
+        fit_bar(ds, BarConfig(lambda_rule="cbic"))
+    assert fit_bar(ds, BarConfig(lambda_rule="bic")).lam == math.log(40)
+
+
 def test_bar_support_regrowth_raises(monkeypatch, rng):
     _, (t, status, X) = make_dataset(rng, 40, 3)
     X[:, 2] = 0.0  # the ridge start leaves this column at exact zero, so it is locked

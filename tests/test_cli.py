@@ -135,6 +135,17 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_cbic_with_one_event_exits_1(tmp_path, capsys):
+    surv = tmp_path / "s.csv"
+    surv.write_text("id,time,status\n1,1.0,0\n2,2.0,1\n3,3.0,0\n4,4.0,0\n")
+    design = tmp_path / "d.csv"
+    design.write_text("id,x1\n1,0.5\n2,-1.0\n3,2.0\n4,0.0\n")
+    code = main(["fit", "--surv", str(surv), "--design", str(design), "--format", "dense-csv",
+                 "--lambda-rule", "cbic"])
+    assert code == 1
+    assert "cbic rule needs at least two events" in capsys.readouterr().err
+
+
 def test_bad_threads(tmp_path, scenario_file, capsys):
     code = main(["bench", "--scenario", str(scenario_file), "--method", "bic-coxbar",
                  "--reps", "1", "--threads", "0", "--out", str(tmp_path / "r.csv")])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparsecox import SurvivalDataset, load_dataset, save_dataset, standardize, validate
+from sparsecox import (LinearPredictorState, SurvivalDataset, load_dataset, save_dataset,
+                       standardize, validate)
 from sparsecox.data import FORMAT_DENSE, FORMAT_SPARSE
 
-from conftest import make_dataset
+from conftest import make_dataset, random_survival_data
 
 
 def write_survival(path, rows):
@@ -51,10 +53,11 @@ def test_from_dense_matches_from_columns(rng):
     assert validate(dense).ok
     np.testing.assert_array_equal(dense.order, coord.order)
     np.testing.assert_array_equal(dense.event_end, coord.event_end)
-    for a, b in zip(dense.design.columns, coord.design.columns, strict=True):
-        assert a.pos.dtype == b.pos.dtype == np.int64
-        np.testing.assert_array_equal(a.pos, b.pos)
-        np.testing.assert_array_equal(a.val, b.val)
+    for (a_pos, a_val), (b_pos, b_val) in zip(dense.design.columns, coord.design.columns,
+                                              strict=True):
+        assert a_pos.dtype == b_pos.dtype == np.int64
+        np.testing.assert_array_equal(a_pos, b_pos)
+        np.testing.assert_array_equal(a_val, b_val)
     assert dense.design.nnz(3) == 0
     np.testing.assert_array_equal(dense.dense_design_original_order(), X)
 
@@ -212,4 +215,78 @@ def test_column_subset_view_shares_arrays(rng):
     assert sub.p == 2
     assert sub.design.columns[0] is ds.design.columns[4]
     np.testing.assert_array_equal(sub.design.dense_column(1), ds.design.dense_column(1))
-    assert sub.event_pos is ds.event_pos
+    np.testing.assert_array_equal(sub.event_pos, ds.event_pos)
+
+
+def held_arrays(ds):
+    """Every array a dataset holds: its own, its design's and its event scans'."""
+    for owner in (ds, ds.design):
+        yield from (v for v in vars(owner).values() if isinstance(v, np.ndarray))
+    for pos, val, _, ev_idx, _ in ds.column_scans:
+        yield from (pos, val, ev_idx)
+
+
+def test_datasets_are_read_only(rng, tmp_path):
+    t, status, X = random_survival_data(rng, 30, 4)
+    X[rng.random(X.shape) < 0.3] = 0.0
+    ds = SurvivalDataset.from_dense(t, status, X)
+    beta = rng.uniform(-0.5, 0.5, size=4)
+    derivs = [LinearPredictorState(ds, beta).coord_derivatives(j) for j in range(4)]
+    # the caller's arrays are not the dataset's
+    t[0] = 0.5
+    status[:] = 1 - status
+    X[:] = 0.0
+    assert validate(ds).ok
+    assert [LinearPredictorState(ds, beta).coord_derivatives(j) for j in range(4)] == derivs
+
+    save_dataset(ds, tmp_path / "s.csv", tmp_path / "x.coord", FORMAT_SPARSE)
+    built = {
+        "from_dense": ds,
+        "from_columns": SurvivalDataset.from_columns(
+            ds.time, ds.status, 30, 4,
+            [(np.arange(30), col) for col in ds.dense_design_original_order().T]),
+        "load_dataset": load_dataset(tmp_path / "s.csv", tmp_path / "x.coord", FORMAT_SPARSE),
+        "scale-only": standardize(ds, "scale-only"),
+        "center-and-scale": standardize(ds, "center-and-scale"),
+        "select_columns": ds.select_columns([3, 0, 3]),
+    }
+    for name, d in built.items():
+        for a in held_arrays(d):
+            assert not a.flags.writeable, name
+    for target in (ds.time, ds.design.columns[0][1], built["center-and-scale"].design.offset,
+                   built["center-and-scale"].design.columns[1][1],
+                   built["select_columns"].order, built["select_columns"].design.scale):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 100.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    times=st.lists(st.integers(1, 4), min_size=1, max_size=12),  # few values: many ties
+    data=st.data(),
+    p=st.integers(0, 4),
+    all_censored=st.booleans(),
+    duplicate=st.booleans(),
+)
+def test_column_scans_match_brute_force_risk_sets(times, data, p, all_censored, duplicate):
+    n = len(times)
+    t = np.asarray(times, dtype=float)
+    status = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if all_censored:
+        status[:] = 0
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.5])  # mostly zeros: empty columns
+    X = np.asarray(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                                      min_size=n, max_size=n)), dtype=float).reshape(n, p)
+    if duplicate and p >= 2:
+        X[:, 1] = X[:, 0]
+    ds = SurvivalDataset.from_dense(t, status, X)
+    events = ds.order[ds.event_pos]  # original index of each event, in scan order
+    assert len(ds.column_scans) == p
+    for j, (pos, val, ev_lo, ev_idx, sum_delta_x) in enumerate(ds.column_scans):
+        # entries of column j inside each event's risk set {l : t_l >= t_e}
+        counts = np.array([np.count_nonzero(X[t >= t[e], j]) for e in events], dtype=int)
+        assert np.all(counts[:ev_lo] == 0)
+        np.testing.assert_array_equal(ev_idx, counts[ev_lo:])
+        assert np.all(ev_idx > 0)
+        assert sum_delta_x == pytest.approx(X[status == 1, j].sum(), rel=1e-12, abs=1e-12)
+        assert pos.shape[0] == np.count_nonzero(X[:, j])
