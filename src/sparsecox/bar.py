@@ -217,16 +217,34 @@ def fit_bar(ds, config=None):
                   aic=aic, bic=bic, cbic=cbic)
 
 
-def _fit_point(args):
-    ds, axis, value, config = args
+def _guarded(task):
+    fn, args = task
     try:
-        if axis == "lambda":
-            config = replace(config, lambda_rule="fixed", lambda_value=value)
-        else:
-            config = replace(config, xi=value)
-        return fit_bar(ds, config), None
-    except (ValueError, OverflowError, RuntimeError) as exc:  # a failed point, not a bug
-        return None, str(exc)
+        return fn(*args), None
+    except (ValueError, OverflowError, RuntimeError) as exc:  # a failed job, not a bug
+        return None, exc
+
+
+def _run_jobs(fn, jobs, threads):
+    """``fn(*job)`` for every job, serially or on ``threads`` worker
+    processes, as (result, None) pairs in job order.  A ValueError,
+    OverflowError or RuntimeError gives (None, exc); any other exception
+    propagates.  ``fn`` must be a module-level function."""
+    tasks = [(fn, job) for job in jobs]
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(_guarded, tasks))
+    return [_guarded(task) for task in tasks]
+
+
+def _fit_point(ds, axis, value, config):
+    if axis == "lambda":
+        config = replace(config, lambda_rule="fixed", lambda_value=value)
+    else:
+        config = replace(config, xi=value)
+    return fit_bar(ds, config)
 
 
 def path_over(ds, axis, grid, config=None, threads=1):
@@ -246,16 +264,9 @@ def path_over(ds, axis, grid, config=None, threads=1):
         raise ValueError("grid must be nonempty and strictly ascending")
     if axis == "xi" and np.any(grid <= 0):
         raise ValueError("xi grid values must be positive")
-    jobs = [(ds, axis, float(v), config) for v in grid]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_fit_point, jobs))
-    else:
-        outcomes = [_fit_point(job) for job in jobs]
+    outcomes = _run_jobs(_fit_point, [(ds, axis, float(v), config) for v in grid], threads)
     return PathResult(axis=axis, tunings=grid, fits=[f for f, _ in outcomes],
-                      errors=[e for _, e in outcomes])
+                      errors=[None if e is None else str(e) for _, e in outcomes])
 
 
 @dataclass

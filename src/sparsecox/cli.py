@@ -46,11 +46,12 @@ def parse_grid(spec):
     return np.asarray([float(tok) for tok in spec.split(",") if tok.strip()])
 
 
-def _add_tuning_flags(sub):
+def _add_tuning_flags(sub, lambda_rule=True):
     sub.add_argument("--xi", type=float, default=1.0)
     sub.add_argument("--lambda", dest="lam", type=float, default=None)
-    sub.add_argument("--lambda-rule", dest="lambda_rule",
-                     choices=["bic", "cbic", "fixed"], default="bic")
+    if lambda_rule:  # a bench method names its own rule
+        sub.add_argument("--lambda-rule", dest="lambda_rule",
+                         choices=["bic", "cbic", "fixed"], default="bic")
     sub.add_argument("--d", type=float, default=0.0)
     sub.add_argument("--screen-m", dest="screen_m", type=int, default=None)
 
@@ -184,7 +185,7 @@ def build_parser():
     bench.add_argument("--scenario", required=True)
     bench.add_argument("--method", required=True)
     bench.add_argument("--reps", type=int, required=True)
-    _add_tuning_flags(bench)
+    _add_tuning_flags(bench, lambda_rule=False)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--out", required=True)

@@ -56,6 +56,10 @@ class SparseColumnMatrix:
         self.standardization = standardization
         _frozen(self.scale, self.offset, *(a for pair in self.columns for a in pair))
 
+    def __reduce__(self):  # a pickled copy is rebuilt, and so frozen, by the constructor
+        return type(self), (self.n, self.p, self.columns, self.scale, self.offset,
+                            self.standardization)
+
     def column(self, j):
         return self.columns[j]
 
@@ -135,6 +139,9 @@ class SurvivalDataset:
         _frozen(self.time, self.status, self.order, self.time_sorted, self.status_sorted,
                 self.event_pos, self.event_end)
 
+    def __reduce__(self):  # rebuilt by the constructor: read-only, without column_scans
+        return type(self), (self.time, self.status, self.design, self.order)
+
     @cached_property
     def column_scans(self):
         """(pos, val, ev_lo, ev_idx, sum_delta_x) per column, built for all
@@ -168,9 +175,11 @@ class SurvivalDataset:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         cols = []
-        for rows, vals in columns:
+        for j, (rows, vals) in enumerate(columns):
             rows = np.asarray(rows, dtype=np.int64)
             vals = np.asarray(vals, dtype=np.float64)
+            if not np.isfinite(vals).all():
+                raise ValueError(f"non-finite value in column x{j + 1}")
             keep = vals != 0.0
             rows, vals = rows[keep], vals[keep]
             pos = rank[rows]
@@ -392,6 +401,8 @@ def load_dataset(survival_file, design_file, format):
                     raise ValueError(f"{design_file}:{lineno}: ids must run 1..n in order")
                 for k in range(p):
                     X[count, k] = _parse_float(parts[k + 1], design_file, lineno, "value")
+                if not np.all(np.isfinite(X[count])):
+                    raise ValueError(f"{design_file}:{lineno}: non-finite value")
                 count += 1
             if count != n:
                 raise ValueError(f"{design_file}: row count {count} does not match survival n={n}")

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, replace
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .data import SurvivalDataset
-from .bar import fit_bar, BarConfig
+from .bar import fit_bar, BarConfig, _run_jobs
 from .screening import sjs_coxbar
 
 __all__ = [
@@ -336,21 +335,19 @@ class MethodConfig:
 
     @classmethod
     def from_name(cls, name, lam=None, xi=1.0, d=0.0, screen_m=None):
-        base = name
-        if name.startswith("sjs-"):
-            base = name[4:]
-            if screen_m is None:
-                raise ValueError("sjs methods need screen_m")
-        if base == "bic-coxbar":
-            cfg = BarConfig(xi=xi, lambda_rule="bic", d=d)
-        elif base == "cbic-coxbar":
-            cfg = BarConfig(xi=xi, lambda_rule="cbic", d=d)
-        elif base == "coxbar":
-            if lam is None:
-                raise ValueError("method 'coxbar' needs an explicit lambda")
-            cfg = BarConfig(xi=xi, lambda_rule="fixed", lambda_value=lam, d=d)
-        else:
+        base = name.removeprefix("sjs-")
+        rule = {"bic-coxbar": "bic", "cbic-coxbar": "cbic", "coxbar": "fixed"}.get(base)
+        if rule is None:
             raise ValueError(f"unknown method {name!r}")
+        if base != name and screen_m is None:
+            raise ValueError("sjs methods need screen_m")
+        if base == name and screen_m is not None:
+            raise ValueError(f"method {name!r} does not screen; use 'sjs-{name}'")
+        if rule == "fixed" and lam is None:
+            raise ValueError("method 'coxbar' needs an explicit lambda")
+        if rule != "fixed" and lam is not None:
+            raise ValueError(f"method {name!r} picks its own lambda")
+        cfg = BarConfig(xi=xi, lambda_rule=rule, lambda_value=lam, d=d)
         return cls(name=name, bar=cfg, screen_m=screen_m)
 
 
@@ -389,8 +386,7 @@ def _num(v):
     return f"{v:.6g}"
 
 
-def _run_replicate(args):
-    scenario, method, rep, master_seed = args
+def _run_replicate(scenario, method, rep, master_seed):
     rep_scenario = replace(scenario, beta0=scenario.beta0,
                            seed=replicate_seed(master_seed, rep))
     ds = simulate(rep_scenario)
@@ -400,7 +396,7 @@ def _run_replicate(args):
     else:
         fit = fit_bar(ds, method.bar)
     ms = (_time.perf_counter() - t0) * 1000.0
-    return rep, score(fit.beta, scenario.beta0, aic=fit.aic, bic=fit.bic), ms
+    return score(fit.beta, scenario.beta0, aic=fit.aic, bic=fit.bic), ms
 
 
 def run_benchmark(scenario, method, replicates, seed, threads=1):
@@ -415,17 +411,11 @@ def run_benchmark(scenario, method, replicates, seed, threads=1):
         raise ValueError("replicates must be >= 1")
     jobs = [(scenario, method, r, seed) for r in range(replicates)]
     results, failures = [], []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = pool.map(_run_replicate_safe, jobs)
-            outcomes = list(futures)
-    else:
-        outcomes = [_run_replicate_safe(job) for job in jobs]
-    for rep, payload in sorted(outcomes, key=lambda kv: kv[0]):
-        if isinstance(payload, str):
-            failures.append((rep, payload))
-        else:
+    for rep, (payload, exc) in enumerate(_run_jobs(_run_replicate, jobs, threads)):
+        if exc is None:
             results.append((rep, *payload))
+        else:
+            failures.append((rep, f"{type(exc).__name__}: {exc}"))
     if not results:
         raise RuntimeError(f"all {replicates} replicates failed; first: {failures[0][1]}")
 
@@ -448,12 +438,3 @@ def run_benchmark(scenario, method, replicates, seed, threads=1):
         rows=[(r, m) for r, m, _ in results],
     )
     return report
-
-
-def _run_replicate_safe(args):
-    rep = args[2]
-    try:
-        rep_idx, metrics, ms = _run_replicate(args)
-        return rep_idx, (metrics, ms)
-    except (ValueError, OverflowError, RuntimeError) as exc:
-        return rep, f"{type(exc).__name__}: {exc}"

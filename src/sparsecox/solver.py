@@ -7,10 +7,10 @@ Newton step of the restricted objective, written in the stabilized form
 
 whose denominator is >= 1, so the step degrades gracefully as w_j -> inf
 (the new coordinate value goes to exactly zero instead of overflowing).
-Steps are clamped by a per-coordinate trust radius adapted as
-max(2*|step|, radius/2), and a step is only accepted if the objective does
-not increase.  A rejected step is halved until one is accepted, or until
-the quadratic model's predicted decrease of the next halved step,
+Steps are clipped to +-_MAX_STEP, and a step is only accepted if the
+objective does not increase.  A rejected step is halved until one is
+accepted, or until the quadratic model's predicted decrease of the next
+halved step,
 
     pred(s) = 2*g1*s + g2*s^2 - w_j*((beta_j + s)^2 - beta_j^2),
 
@@ -91,10 +91,7 @@ class SolverResult:
 _MAX_SWEEPS = 1000
 _TOL_OBJ = 1e-8
 _TOL_BETA = 1e-6
-_TRUST_INIT = 1.0  # per-coordinate trust radius: start, growth, shrink, floor
-_TRUST_EXPAND = 2.0
-_TRUST_SHRINK = 0.5
-_TRUST_MIN = 1e-8
+_MAX_STEP = 1.0  # largest first trial step of a coordinate visit
 _MAX_HALVINGS = 30
 _EPS_UNPENALIZED = 1e-12  # curvature guard for w_j = 0 coordinates
 _ROUNDING_ULPS = 4.0  # predicted decreases within this many ulps of |F| end a visit
@@ -139,7 +136,6 @@ def ccd_minimize(ds, penalty, beta0):
     pen_run = float(np.dot(weights[live], beta[live] ** 2))
     f_last = -2.0 * ll_run + pen_run
     trace = [f_last]
-    radius = np.full(ds.p, _TRUST_INIT)
 
     converged = False
     sweep = 0
@@ -154,14 +150,8 @@ def ccd_minimize(ds, penalty, beta0):
             b = beta[j]
             g1, g2 = state.coord_derivatives(j)
             w_j = weights[j]
-            step = _coord_step(b, g1, g2, w_j)
-            r = radius[j]
-            if step > r:
-                step = r
-            elif step < -r:
-                step = -r
+            step = min(max(_coord_step(b, g1, g2, w_j), -_MAX_STEP), _MAX_STEP)
             if step == 0.0:
-                radius[j] = max(r * _TRUST_SHRINK, _TRUST_MIN)
                 continue
 
             applied = 0.0
@@ -197,7 +187,6 @@ def ccd_minimize(ds, penalty, beta0):
             mag = abs(applied)
             if mag > max_step:
                 max_step = mag
-            radius[j] = max(_TRUST_EXPAND * mag, r * _TRUST_SHRINK, _TRUST_MIN)
 
         obj_ok = abs(f_sweep_start - f_last) <= _TOL_OBJ * (1.0 + abs(f_sweep_start))
         if obj_ok and max_step <= _TOL_BETA:

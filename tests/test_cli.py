@@ -108,6 +108,20 @@ def test_bench_rejects_zero_reps(tmp_path, scenario_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lambda-rule", "cbic"], "unrecognized arguments: --lambda-rule"),
+    (["--lambda", "50"], "picks its own lambda"),
+    (["--screen-m", "3"], "does not screen"),
+])
+def test_bench_refuses_tuning_its_method_ignores(tmp_path, scenario_file, capsys, flags, message):
+    out = tmp_path / "r.csv"
+    code = main(["bench", "--scenario", str(scenario_file), "--method", "bic-coxbar",
+                 "--reps", "1", "--out", str(out)] + flags)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_path_from_scenario(tmp_path, scenario_file):
     out = tmp_path / "path.csv"
     code = main(["path", "--scenario", str(scenario_file), "--axis", "xi",

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,21 @@ def test_load_errors_carry_line_numbers(tmp_path):
     bad.write_text("id,time,status\n1,1.0,2\n")
     with pytest.raises(ValueError, match=r"status outside"):
         load_dataset(bad, des, FORMAT_SPARSE)
+
+
+def test_non_finite_design_values_rejected(tmp_path):
+    surv = tmp_path / "s.csv"
+    des = tmp_path / "x.csv"
+    write_survival(surv, [(1.0, 1), (2.0, 1)])
+    for bad in ("nan", "inf", "-inf"):
+        des.write_text(f"id,x1,x2\n1,1.0,0.5\n2,2.0,{bad}\n")
+        with pytest.raises(ValueError, match=r"x\.csv:3: non-finite value"):
+            load_dataset(surv, des, FORMAT_DENSE)
+    X = np.array([[1.0, 0.5], [2.0, np.nan]])
+    with pytest.raises(ValueError, match="non-finite value in column x2"):
+        SurvivalDataset.from_dense([1.0, 2.0], [1, 1], X)
+    with pytest.raises(ValueError, match="non-finite value in column x1"):
+        SurvivalDataset.from_columns([1.0, 2.0], [1, 1], 2, 1, [([1], [np.inf])])
 
 
 def test_duplicate_sparse_entry_rejected(tmp_path):
@@ -258,6 +275,26 @@ def test_datasets_are_read_only(rng, tmp_path):
                    built["select_columns"].order, built["select_columns"].design.scale):
         with pytest.raises(ValueError, match="read-only"):
             target[0] = 100.0
+
+
+@pytest.mark.parametrize("mode", ["none", "center-and-scale"])
+def test_pickled_dataset_is_rebuilt_read_only(rng, mode):
+    t, status, X = random_survival_data(rng, 30, 4)
+    X[rng.random(X.shape) < 0.3] = 0.0
+    ds = standardize(SurvivalDataset.from_dense(t, status, X), mode).select_columns([3, 0, 3])
+    assert ds.column_scans  # built, so a plain pickle would carry it along
+    copy = pickle.loads(pickle.dumps(ds))
+    assert "column_scans" not in vars(copy)
+    for a in held_arrays(copy):
+        assert not a.flags.writeable
+    assert copy.design.standardization == ds.design.standardization
+    np.testing.assert_array_equal(copy.order, ds.order)
+    np.testing.assert_array_equal(copy.design.offset, ds.design.offset)
+    beta = rng.uniform(-0.5, 0.5, size=3)
+    state, copy_state = LinearPredictorState(ds, beta), LinearPredictorState(copy, beta)
+    assert copy_state.loglik() == state.loglik()
+    for j in range(3):
+        assert copy_state.coord_derivatives(j) == state.coord_derivatives(j)
 
 
 @settings(max_examples=200, deadline=None)

@@ -198,3 +198,16 @@ def test_method_config_names():
         MethodConfig.from_name("sjs-bic-coxbar")
     with pytest.raises(ValueError):
         MethodConfig.from_name("lasso")
+
+
+def test_method_config_refuses_ignored_tuning():
+    # the preset picks lambda, and only an sjs- method screens
+    with pytest.raises(ValueError, match="picks its own lambda"):
+        MethodConfig.from_name("bic-coxbar", lam=50.0)
+    with pytest.raises(ValueError, match="picks its own lambda"):
+        MethodConfig.from_name("sjs-cbic-coxbar", lam=50.0, screen_m=10)
+    with pytest.raises(ValueError, match="does not screen"):
+        MethodConfig.from_name("bic-coxbar", screen_m=3)
+    with pytest.raises(ValueError, match="does not screen"):
+        MethodConfig.from_name("coxbar", lam=3.0, screen_m=3)
+    assert MethodConfig.from_name("sjs-coxbar", lam=3.0, screen_m=3).bar.lambda_value == 3.0

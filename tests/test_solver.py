@@ -17,6 +17,7 @@ from sparsecox import (
     simulate,
 )
 from sparsecox import solver
+from sparsecox.sim import replicate_seed
 from sparsecox.solver import _coord_step
 
 from conftest import dense_loglik, make_dataset
@@ -185,6 +186,34 @@ def test_halving_stops_at_rounding_floor(monkeypatch):
     assert fit.converged
     assert sum(visits) > 0
     assert visits.count(solver._MAX_HALVINGS + 1) == 0
+
+
+def test_first_probe_is_newton_step_clipped_to_cap(monkeypatch):
+    # criterion 2's first replicate (n=300 desk design): an adaptive
+    # per-coordinate radius cuts some of these first probes shorter
+    scen = SimScenario(n=300, p=100, beta0=[0.2, 0, 0.35, 0, 0.5, 0.55, 0, 0, 0.7, 0.8],
+                       design="ar1:0.5", censoring=0.2, seed=replicate_seed(20260811, 0))
+    ds = simulate(scen)
+    raw, first = [], []
+    step_fn, probe = solver._coord_step, LinearPredictorState.probe_coord_update
+
+    def recording_step(*args):
+        raw.append(step_fn(*args))
+        first.append(None)
+        return raw[-1]
+
+    def recording_probe(self, j, delta):
+        if first[-1] is None:
+            first[-1] = delta
+        return probe(self, j, delta)
+
+    monkeypatch.setattr(solver, "_coord_step", recording_step)
+    monkeypatch.setattr(LinearPredictorState, "probe_coord_update", recording_probe)
+    fit_bar(ds, BarConfig(lambda_rule="bic"))
+    capped = np.clip(raw, -solver._MAX_STEP, solver._MAX_STEP)
+    probed = np.array([f is not None for f in first])
+    np.testing.assert_array_equal(probed, capped != 0.0)
+    np.testing.assert_array_equal([f for f in first if f is not None], capped[probed])
 
 
 class _ScriptedState:
