@@ -16,7 +16,6 @@ from .data import (
     save_dataset,
     standardize,
     to_original_scale,
-    validate,
 )
 from .likelihood import LinearPredictorState
 from .solver import PenaltySpec, SolverResult, ccd_minimize
@@ -43,7 +42,7 @@ from .sim import (
 
 __all__ = [
     "SparseColumnMatrix", "SurvivalDataset", "load_dataset", "save_dataset",
-    "standardize", "to_original_scale", "validate",
+    "standardize", "to_original_scale",
     "LinearPredictorState",
     "SolverResult", "PenaltySpec", "ccd_minimize",
     "BarConfig", "BarFit", "PathResult", "fit_ridge", "fit_bar",

@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .data import (FORMAT_DENSE, FORMAT_SPARSE, load_dataset, save_dataset,
-                   standardize)
+                   standardize, to_original_scale)
 from .bar import BarConfig, fit_bar, path_over
 from .screening import sjs_coxbar
 from .sim import MethodConfig, SimScenario, run_benchmark, simulate
@@ -80,8 +81,9 @@ def cmd_fit(args):
         fit = sjs_coxbar(ds, args.screen_m, config)
     else:
         fit = fit_bar(ds, config)
+    beta = to_original_scale(ds, fit.beta)
     payload = {
-        "coefficients": {str(int(j) + 1): float(fit.beta[j]) for j in fit.support},
+        "coefficients": {str(int(j) + 1): float(beta[j]) for j in fit.support},
         "support": [int(j) + 1 for j in fit.support],
         "loglik": fit.loglik,
         "df": fit.df,
@@ -149,6 +151,9 @@ def cmd_path(args):
         ds = _load(args)
     grid = np.sort(parse_grid(args.grid))
     path = path_over(ds, args.axis, grid, _bar_config(args), threads=args.threads)
+    path = replace(path, fits=[None if fit is None else
+                               replace(fit, beta=to_original_scale(ds, fit.beta))
+                               for fit in path.fits])
     path.to_csv(args.out)
     failed = sum(e is not None for e in path.errors)
     print(f"wrote {args.out} ({grid.size} grid points, {failed} failed)")

@@ -5,7 +5,9 @@ Subjects are kept internally in descending-time order so that every risk set
 ordered events-before-censorings (stable by input index), and tied event
 times share one risk set per the Breslow convention.  Design columns are
 stored as (position, value) pairs in that same order, which is what the
-coordinate-descent kernels scan.  Every array a dataset holds is read-only.
+coordinate-descent kernels scan.  The constructors refuse malformed input
+with ValueError, so every dataset that exists is valid, and every array a
+dataset holds is read-only.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import numpy as np
 __all__ = [
     "SparseColumnMatrix",
     "SurvivalDataset",
-    "ValidationReport",
     "load_dataset",
     "save_dataset",
     "standardize",
-    "validate",
     "to_original_scale",
 ]
 
@@ -36,29 +36,73 @@ def _frozen(*arrays):
         a.setflags(write=False)
 
 
-class SparseColumnMatrix:
-    """Column-oriented sparse matrix aligned to a dataset's sorted order.
+def _sort_order(time, status):
+    """order[k] = input index of the subject at sorted position k: descending
+    time, events before censorings at a tie, then input index.  Raises
+    ValueError unless time and status are one-dimensional of one nonzero
+    length, every time is positive and finite and every status is 0 or 1."""
+    time = np.asarray(time, dtype=np.float64)
+    status = np.asarray(status, dtype=np.float64)
+    if time.ndim != 1 or status.shape != time.shape:
+        raise ValueError("time and status must be one-dimensional arrays of one length")
+    if time.shape[0] == 0:
+        raise ValueError("empty dataset")
+    bad = np.flatnonzero(~np.isfinite(time) | (time <= 0.0))
+    if bad.size:
+        raise ValueError(f"nonpositive or non-finite time for subject {bad[0] + 1}")
+    bad = np.flatnonzero((status != 0.0) & (status != 1.0))
+    if bad.size:
+        raise ValueError(f"status outside {{0,1}} for subject {bad[0] + 1}")
+    return np.lexsort((np.arange(time.shape[0]), -status, -time))
 
-    ``columns[j]`` is the pair (pos, val) of column j's stored entries, pos
-    ascending.  The dense value of entry (k, j) is ``stored - offset[j]``:
-    centering is carried as a per-column offset so that standardization never
-    densifies the storage.  ``scale[j]`` maps standardized coefficients back
-    to the original covariate scale (beta_original = beta_stored / scale).
-    The matrix makes the arrays it is given read-only.
+
+def _check_column(n, j, pos, val):
+    """Raise ValueError unless (pos, val) is a valid column j of an n-row matrix."""
+    if not (isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.ndim == 1
+            and isinstance(val, np.ndarray) and val.dtype == np.float64
+            and val.shape == pos.shape):
+        raise ValueError(f"column x{j + 1} is not an int64 position array and a float64 "
+                         "value array of one length")
+    if pos.shape[0] and (pos[0] < 0 or pos[-1] >= n or np.any(pos[1:] <= pos[:-1])):
+        raise ValueError(f"positions of column x{j + 1} repeat, are out of order or fall "
+                         f"outside [0, {n})")
+    if not np.isfinite(val).all():
+        raise ValueError(f"non-finite value in column x{j + 1}")
+    if not val.all():
+        raise ValueError(f"stored zero value in column x{j + 1}")
+
+
+class SparseColumnMatrix:
+    """Column-oriented sparse n-by-p matrix, p = len(columns).
+
+    ``columns[j]`` is the pair (pos, val) of column j's stored entries: int64
+    positions strictly increasing in [0, n) and float64 values, finite and
+    nonzero; anything else raises ValueError.  Inside a dataset, position k
+    is the subject at sorted position k of its (time, status).  The dense
+    value of entry (k, j) is ``stored - offset[j]``: centering is carried as
+    a per-column offset so that standardization never densifies the storage.
+    ``scale[j]`` maps standardized coefficients back to the original
+    covariate scale (beta_original = beta_stored / scale).  The matrix makes
+    the arrays it is given read-only.
     """
 
-    def __init__(self, n, p, columns, scale=None, offset=None, standardization=MODE_NONE):
+    def __init__(self, n, columns, scale=None, offset=None, standardization=MODE_NONE):
         self.n = int(n)
-        self.p = int(p)
         self.columns = tuple(columns)
+        self.p = p = len(self.columns)
+        for j, (pos, val) in enumerate(self.columns):
+            _check_column(self.n, j, pos, val)
         self.scale = np.ones(p) if scale is None else scale
         self.offset = np.zeros(p) if offset is None else offset
+        if self.scale.shape != (p,) or self.offset.shape != (p,):
+            raise ValueError(f"scale and offset must hold one entry per column (p={p})")
+        if standardization not in _MODES:
+            raise ValueError(f"unknown standardization mode {standardization!r}")
         self.standardization = standardization
         _frozen(self.scale, self.offset, *(a for pair in self.columns for a in pair))
 
-    def __reduce__(self):  # a pickled copy is rebuilt, and so frozen, by the constructor
-        return type(self), (self.n, self.p, self.columns, self.scale, self.offset,
-                            self.standardization)
+    def __reduce__(self):  # a pickled copy is rebuilt, so checked and frozen, by the constructor
+        return type(self), (self.n, self.columns, self.scale, self.offset, self.standardization)
 
     def column(self, j):
         return self.columns[j]
@@ -85,6 +129,11 @@ class SparseColumnMatrix:
 class SurvivalDataset:
     """Immutable right-censored sample, sorted for prefix-sum risk sets.
 
+    ``SurvivalDataset(time, status, design)`` checks time and status and
+    computes the sort; ``design`` must have n rows, already in that sort
+    order.  The builders ``from_dense`` and ``from_columns`` put the rows of
+    an input-order design there.
+
     Attributes
     ----------
     time, status : arrays in the original input order.
@@ -96,37 +145,19 @@ class SurvivalDataset:
         event's time, i.e. the inclusive end of its risk-set prefix (Breslow
         ties share it).
 
-    The constructor copies ``time``, ``status`` and ``order``; every array
-    held by the dataset or its design is read-only.
+    The constructor copies ``time`` and ``status``; every array held by the
+    dataset or its design is read-only.
     """
 
-    def __init__(self, time, status, design, order=None):
-        time = np.array(time, dtype=np.float64)
-        status = np.asarray(status)
-        n = time.shape[0]
-        if status.shape[0] != n:
-            raise ValueError("time and status lengths differ")
-        if n == 0:
-            raise ValueError("empty dataset")
-        if not np.all(np.isfinite(time)) or np.any(time <= 0.0):
-            bad = int(np.flatnonzero(~np.isfinite(time) | (time <= 0.0))[0])
-            raise ValueError(f"nonpositive or non-finite time for subject {bad + 1}")
-        status_f = np.asarray(status, dtype=np.float64)
-        if not np.all((status_f == 0.0) | (status_f == 1.0)):
-            bad = int(np.flatnonzero((status_f != 0.0) & (status_f != 1.0))[0])
-            raise ValueError(f"status outside {{0,1}} for subject {bad + 1}")
-        status = status_f.astype(np.int8)
-        if design.n != n:
-            raise ValueError("design row count does not match survival data")
-
-        self.time = time
-        self.status = status
-        self.n = n
+    def __init__(self, time, status, design):
+        self.order = _sort_order(time, status)
+        self.time = time = np.array(time, dtype=np.float64)
+        self.status = status = np.asarray(status, dtype=np.float64).astype(np.int8)
+        self.n = n = time.shape[0]
+        if not isinstance(design, SparseColumnMatrix) or design.n != n:
+            raise ValueError("design is not a SparseColumnMatrix with one row per subject")
         self.p = design.p
         self.design = design
-        if order is None:
-            order = np.lexsort((np.arange(n), -status, -time))
-        self.order = np.array(order, dtype=np.int64)
 
         self.time_sorted = time[self.order]
         self.status_sorted = status[self.order]
@@ -140,7 +171,7 @@ class SurvivalDataset:
                 self.event_pos, self.event_end)
 
     def __reduce__(self):  # rebuilt by the constructor: read-only, without column_scans
-        return type(self), (self.time, self.status, self.design, self.order)
+        return type(self), (self.time, self.status, self.design)
 
     @cached_property
     def column_scans(self):
@@ -161,32 +192,42 @@ class SurvivalDataset:
 
     @classmethod
     def from_dense(cls, time, status, X):
-        """Build from a dense n-by-p matrix; zero entries are not stored."""
+        """Build from a dense n-by-p matrix in input row order; zero entries
+        are not stored."""
+        order = _sort_order(time, status)
+        n = order.shape[0]
         X = np.asarray(X, dtype=np.float64)
-        n, p = X.shape
-        rows = np.arange(n)
-        return cls.from_columns(time, status, n, p, [(rows, X[:, j]) for j in range(p)])
+        if X.ndim != 2 or X.shape[0] != n:
+            raise ValueError(f"design must be a matrix with one row per subject (n={n})")
+        cols = []
+        for j in range(X.shape[1]):
+            x = X[order, j]
+            pos = np.flatnonzero(x)
+            cols.append((pos, x[pos]))
+        return cls(time, status, SparseColumnMatrix(n, cols))
 
     @classmethod
-    def from_columns(cls, time, status, n, p, columns):
-        """Build from per-column (original_rows, values) pairs (0-based rows)."""
-        time = np.asarray(time, dtype=np.float64)
-        order = np.lexsort((np.arange(n), -np.asarray(status, dtype=np.float64), -time))
+    def from_columns(cls, time, status, columns):
+        """Build from per-column (rows, values) pairs: 0-based input rows in
+        any order, n = len(time) and p = len(columns).  Zero values are not
+        stored; a repeated row raises ValueError."""
+        order = _sort_order(time, status)
+        n = order.shape[0]
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         cols = []
         for j, (rows, vals) in enumerate(columns):
-            rows = np.asarray(rows, dtype=np.int64)
+            rows = np.asarray(rows)
             vals = np.asarray(vals, dtype=np.float64)
-            if not np.isfinite(vals).all():
-                raise ValueError(f"non-finite value in column x{j + 1}")
+            if rows.ndim != 1 or rows.shape != vals.shape:
+                raise ValueError(f"rows and values of column x{j + 1} differ in length")
+            if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
+                raise ValueError(f"row indices of column x{j + 1} are not integers in [0, {n})")
             keep = vals != 0.0
-            rows, vals = rows[keep], vals[keep]
-            pos = rank[rows]
+            pos = rank[rows[keep].astype(np.int64, copy=False)]  # [] arrives as float64
             srt = np.argsort(pos, kind="stable")
-            cols.append((pos[srt], vals[srt]))
-        design = SparseColumnMatrix(n, p, cols)
-        return cls(time, status, design, order=order)
+            cols.append((pos[srt], vals[keep][srt]))
+        return cls(time, status, SparseColumnMatrix(n, cols))
 
     # -- views ------------------------------------------------------------
 
@@ -195,13 +236,12 @@ class SurvivalDataset:
         indices = np.asarray(indices, dtype=np.int64)
         design = SparseColumnMatrix(
             self.n,
-            int(indices.shape[0]),
             [self.design.columns[int(j)] for j in indices],
             scale=self.design.scale[indices],
             offset=self.design.offset[indices],
             standardization=self.design.standardization,
         )
-        return SurvivalDataset(self.time, self.status, design, order=self.order)
+        return SurvivalDataset(self.time, self.status, design)
 
     def dense_design_original_order(self):
         """Dense design with rows in the original input order (small data only)."""
@@ -209,63 +249,6 @@ class SurvivalDataset:
         out = np.empty_like(X)
         out[self.order] = X
         return out
-
-
-class ValidationReport:
-    def __init__(self, ok, problems):
-        self.ok = ok
-        self.problems = problems
-
-    @property
-    def first_violation(self):
-        return self.problems[0] if self.problems else None
-
-    def __repr__(self):
-        return f"ValidationReport(ok={self.ok}, problems={self.problems!r})"
-
-
-def validate(ds):
-    """Check every dataset invariant; diagnostic only, never raises."""
-    problems = []
-    n = ds.n
-    if np.any(ds.time <= 0.0) or not np.all(np.isfinite(ds.time)):
-        problems.append("nonpositive time")
-    if not np.all((ds.status == 0) | (ds.status == 1)):
-        problems.append("status outside {0,1}")
-    if sorted(ds.order.tolist()) != list(range(n)):
-        problems.append("order not a permutation")
-    else:
-        ts = ds.time[ds.order]
-        if np.any(np.diff(ts) > 0):
-            problems.append("order not sorted by descending time")
-        else:
-            same = np.flatnonzero(np.diff(ts) == 0)
-            st = ds.status[ds.order]
-            if np.any((st[same] == 0) & (st[same + 1] == 1)):
-                problems.append("tie order: censoring precedes event at equal time")
-        if not np.array_equal(ts, ds.time_sorted):
-            problems.append("cached sorted times inconsistent with order")
-    # risk-set prefix property at event positions
-    for k, e in enumerate(ds.event_pos):
-        t = ds.time_sorted[e]
-        in_risk = ds.time_sorted >= t
-        end = ds.event_end[k]
-        if not (np.all(in_risk[: end + 1]) and not np.any(in_risk[end + 1 :])):
-            problems.append(f"risk set for event at position {e} is not a prefix")
-            break
-    for j, (pos, val) in enumerate(ds.design.columns):
-        if pos.shape[0] == 0:
-            continue
-        if np.any(np.diff(pos) <= 0):
-            problems.append(f"column {j + 1}: positions not strictly increasing")
-            break
-        if pos[0] < 0 or pos[-1] >= n:
-            problems.append(f"column {j + 1}: position out of range")
-            break
-        if not np.all(np.isfinite(val)) or np.any(val == 0.0):
-            problems.append(f"column {j + 1}: non-finite or stored-zero value")
-            break
-    return ValidationReport(len(problems) == 0, problems)
 
 
 # -- standardization -------------------------------------------------------
@@ -313,8 +296,8 @@ def standardize(ds, mode):
                 continue
             cols.append((pos, val / rms))
             scale[j] = rms
-    design = SparseColumnMatrix(n, p, cols, scale=scale, offset=offset, standardization=mode)
-    return SurvivalDataset(ds.time, ds.status, design, order=ds.order)
+    design = SparseColumnMatrix(n, cols, scale=scale, offset=offset, standardization=mode)
+    return SurvivalDataset(ds.time, ds.status, design)
 
 
 def to_original_scale(ds, beta):
@@ -341,7 +324,7 @@ def _parse_float(tok, path, lineno, what):
 
 
 def load_dataset(survival_file, design_file, format):
-    """Load survival and design files into a validated, sorted dataset.
+    """Load survival and design files into a checked, sorted dataset.
 
     The survival file is a CSV with header ``id,time,status`` and ids
     1..n in order.  ``dense-csv`` designs have header ``id,x1,...,xp``.
@@ -445,16 +428,17 @@ def load_dataset(survival_file, design_file, format):
         if count != nnz:
             raise ValueError(f"{design_file}: {count} entries but header declares nnz={nnz}")
     key = cols * n + rows
-    if nnz and np.unique(key).shape[0] != nnz:
+    srt = np.argsort(key, kind="stable")
+    key = key[srt]
+    if np.any(key[1:] == key[:-1]):
         raise ValueError(f"{design_file}: duplicate (row, col) entry")
     col_lists = []
-    srt = np.argsort(key, kind="stable")
     rows, cols, vals = rows[srt], cols[srt], vals[srt]
     bounds = np.searchsorted(cols, np.arange(p + 1))
     for j in range(p):
         lo, hi = bounds[j], bounds[j + 1]
         col_lists.append((rows[lo:hi], vals[lo:hi]))
-    return SurvivalDataset.from_columns(time, status, n, p, col_lists)
+    return SurvivalDataset.from_columns(time, status, col_lists)
 
 
 def save_dataset(ds, survival_file, design_file, format):

@@ -268,7 +268,7 @@ def simulate(scenario):
 
     if scenario.design_kind == "ar1":
         return SurvivalDataset.from_dense(time, status, X)
-    return SurvivalDataset.from_columns(time, status, n, p, cols)
+    return SurvivalDataset.from_columns(time, status, cols)
 
 
 # -- scoring ------------------------------------------------------------------

@@ -87,6 +87,33 @@ def random_survival_data(rng, n, p, tie_fraction=0.3, censor_fraction=0.3,
     return t, status, X
 
 
+def check_dataset(ds):
+    """Assert every dataset invariant by brute force, from the input-order
+    time and status: the order is the documented sort, the cached sorted
+    arrays and event ends agree with it, and every column is int64
+    positions strictly increasing in [0, n) with finite nonzero values."""
+    n = ds.n
+    assert n == ds.time.shape[0] == ds.status.shape[0] >= 1
+    assert np.all(np.isfinite(ds.time)) and np.all(ds.time > 0.0)
+    assert set(np.unique(ds.status).tolist()) <= {0, 1}
+    expected = sorted(range(n), key=lambda i: (-ds.time[i], -ds.status[i], i))
+    assert ds.order.tolist() == expected
+    np.testing.assert_array_equal(ds.time_sorted, ds.time[ds.order])
+    np.testing.assert_array_equal(ds.status_sorted, ds.status[ds.order])
+    assert ds.event_pos.tolist() == [k for k in range(n) if ds.status_sorted[k] == 1]
+    assert ds.event_count == ds.event_pos.shape[0]
+    for e, end in zip(ds.event_pos, ds.event_end, strict=True):
+        in_risk = ds.time_sorted >= ds.time_sorted[e]
+        assert in_risk[: end + 1].all() and not in_risk[end + 1:].any()
+    assert ds.p == ds.design.p == len(ds.design.columns)
+    assert ds.design.n == n
+    for pos, val in ds.design.columns:
+        assert pos.dtype == np.int64 and val.dtype == np.float64
+        assert pos.shape == val.shape
+        assert np.all(np.diff(pos) > 0) and np.all((0 <= pos) & (pos < n))
+        assert np.all(np.isfinite(val)) and np.all(val != 0.0)
+
+
 def make_dataset(rng, n, p, **kwargs):
     t, status, X = random_survival_data(rng, n, p, **kwargs)
     return SurvivalDataset.from_dense(t, status, X), (t, status, X)

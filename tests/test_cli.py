@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsecox import BarConfig, bar, fit_bar, load_dataset, screening, simulate
+from sparsecox import (BarConfig, bar, fit_bar, load_dataset, screening, simulate, standardize,
+                       to_original_scale)
 from sparsecox.cli import main, parse_grid
 from sparsecox.sim import SimScenario
 
@@ -50,6 +51,42 @@ def test_simulate_then_fit_round_trip(tmp_path, scenario_file, capsys):
     assert payload["support"] == [int(j) + 1 for j in fit.support]
     for k, v in payload["coefficients"].items():
         assert v == fit.beta[int(k) - 1]
+
+
+def test_standardized_fit_and_path_report_input_scale(tmp_path, simulated_files):
+    surv, design = simulated_files
+    X = np.loadtxt(design, delimiter=",", skiprows=1)
+    X[:, 1] *= 3.0
+    scaled = tmp_path / "scaled.csv"
+    header = "id," + ",".join(f"x{j}" for j in range(1, X.shape[1]))
+    np.savetxt(scaled, X, delimiter=",", header=header, comments="",
+               fmt=["%d"] + ["%.17g"] * (X.shape[1] - 1))
+    fits = {}
+    for name, path in (("raw", design), ("scaled", scaled)):
+        out = tmp_path / f"{name}.json"
+        assert main(["fit", "--surv", str(surv), "--design", str(path), "--format", "dense-csv",
+                     "--standardize", "center-and-scale", "--out", str(out)]) == 0
+        fits[name] = json.loads(out.read_text())
+    raw, scaled_fit = fits["raw"], fits["scaled"]
+    assert 1 in raw["support"] and scaled_fit["support"] == raw["support"]
+    assert scaled_fit["loglik"] == pytest.approx(raw["loglik"], rel=1e-9)
+    for k, v in raw["coefficients"].items():
+        expected = v / 3.0 if k == "1" else v
+        assert scaled_fit["coefficients"][k] == pytest.approx(expected, rel=1e-6)
+
+    # the library's standardized fit, mapped back, is what the CLI reports
+    ds = standardize(load_dataset(surv, scaled, "dense-csv"), "center-and-scale")
+    fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
+    beta = to_original_scale(ds, fit.beta)
+    assert scaled_fit["coefficients"] == {str(j + 1): float(beta[j]) for j in fit.support}
+    assert scaled_fit["bic"] == fit.bic
+
+    out = tmp_path / "path.csv"
+    assert main(["path", "--surv", str(surv), "--design", str(scaled), "--format", "dense-csv",
+                 "--standardize", "center-and-scale", "--axis", "xi", "--grid", "1",
+                 "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    np.testing.assert_array_equal([float(v) for v in row[7:]], beta)
 
 
 def test_simulate_deterministic_bytes(tmp_path, scenario_file):

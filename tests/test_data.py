@@ -1,14 +1,16 @@
+import inspect
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsecox import (LinearPredictorState, SurvivalDataset, load_dataset, save_dataset,
-                       standardize, validate)
+from sparsecox import (LinearPredictorState, SparseColumnMatrix, SurvivalDataset, load_dataset,
+                       save_dataset, standardize)
 from sparsecox.data import FORMAT_DENSE, FORMAT_SPARSE
 
-from conftest import make_dataset, random_survival_data
+from conftest import check_dataset, make_dataset, random_survival_data
 
 
 def write_survival(path, rows):
@@ -39,29 +41,54 @@ def test_sparse_empty_columns(tmp_path):
     ds = load_dataset(surv, des, FORMAT_SPARSE)
     assert ds.p == 3
     assert all(ds.design.nnz(j) == 0 for j in range(3))
+    ds = SurvivalDataset.from_columns([1.0, 2.0], [1, 0], [([], []), ([1], [0.0])])
+    assert ds.p == 2 and ds.design.nnz() == 0
+    check_dataset(ds)
 
 
-def test_from_dense_matches_from_columns(rng):
-    n, p = 50, 6
-    X = rng.normal(size=(n, p))
-    X[rng.random((n, p)) < 0.6] = 0.0
-    X[:, 3] = 0.0
-    t = rng.integers(1, 10, size=n).astype(float)  # tied times
-    status = (rng.random(n) < 0.7).astype(int)
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    times=st.lists(st.integers(1, 4), min_size=1, max_size=12),  # few values: many ties
+    data=st.data(),
+    p=st.integers(0, 4),
+    all_censored=st.booleans(),
+)
+def test_builders_agree_and_subject_order_does_not_matter(times, data, p, all_censored):
+    n = len(times)
+    t = np.asarray(times, dtype=float)
+    status = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if all_censored:
+        status[:] = 0
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.5])  # mostly zeros: empty columns
+    X = np.asarray(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                                      min_size=n, max_size=n)), dtype=float).reshape(n, p)
     dense = SurvivalDataset.from_dense(t, status, X)
-    # rows in any order, stored zeros included: from_columns must drop them
-    columns = [(rows, X[rows, j]) for j, rows in enumerate(rng.permutation(n) for _ in range(p))]
-    coord = SurvivalDataset.from_columns(t, status, n, p, columns)
-    assert validate(dense).ok
-    np.testing.assert_array_equal(dense.order, coord.order)
-    np.testing.assert_array_equal(dense.event_end, coord.event_end)
+    check_dataset(dense)
+    np.testing.assert_array_equal(dense.dense_design_original_order(), X)
+
+    # rows shuffled per column, stored zeros included: from_columns drops them
+    shuffles = [np.array(data.draw(st.permutations(range(n))), dtype=np.int64) for _ in range(p)]
+    coord = SurvivalDataset.from_columns(t, status, [(r, X[r, j]) for j, r in enumerate(shuffles)])
+    assert same_bytes(dense.order, coord.order)
+    assert same_bytes(dense.event_end, coord.event_end)
     for (a_pos, a_val), (b_pos, b_val) in zip(dense.design.columns, coord.design.columns,
                                               strict=True):
-        assert a_pos.dtype == b_pos.dtype == np.int64
-        np.testing.assert_array_equal(a_pos, b_pos)
-        np.testing.assert_array_equal(a_val, b_val)
-    assert dense.design.nnz(3) == 0
-    np.testing.assert_array_equal(dense.dense_design_original_order(), X)
+        assert same_bytes(a_pos, b_pos) and same_bytes(a_val, b_val)
+
+    # the likelihood does not depend on the order the subjects come in
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    permuted = SurvivalDataset.from_dense(t[perm], status[perm], X[perm])
+    check_dataset(permuted)
+    beta = np.asarray(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    a, b = LinearPredictorState(dense, beta), LinearPredictorState(permuted, beta)
+    assert b.loglik() == pytest.approx(a.loglik(), rel=1e-12, abs=1e-12)
+    for j in range(p):
+        assert b.coord_derivatives(j) == pytest.approx(a.coord_derivatives(j),
+                                                        rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("fmt", [FORMAT_DENSE, FORMAT_SPARSE])
@@ -86,7 +113,7 @@ def test_sparse_round_trip_large_sparse(rng, tmp_path):
     t = rng.exponential(size=n)
     status = (rng.random(n) < 0.05).astype(int)
     status[0] = 1
-    ds = SurvivalDataset.from_columns(t, status, n, p, cols)
+    ds = SurvivalDataset.from_columns(t, status, cols)
     s1, d1 = tmp_path / "s.csv", tmp_path / "d.coord"
     save_dataset(ds, s1, d1, FORMAT_SPARSE)
     ds2 = load_dataset(s1, d1, FORMAT_SPARSE)
@@ -132,7 +159,7 @@ def test_non_finite_design_values_rejected(tmp_path):
     with pytest.raises(ValueError, match="non-finite value in column x2"):
         SurvivalDataset.from_dense([1.0, 2.0], [1, 1], X)
     with pytest.raises(ValueError, match="non-finite value in column x1"):
-        SurvivalDataset.from_columns([1.0, 2.0], [1, 1], 2, 1, [([1], [np.inf])])
+        SurvivalDataset.from_columns([1.0, 2.0], [1, 1], [([1], [np.inf])])
 
 
 def test_duplicate_sparse_entry_rejected(tmp_path):
@@ -164,20 +191,66 @@ def test_ties_events_before_censorings(rng):
     assert ds.order.tolist() == [0, 4, 2, 3, 1]
 
 
-def test_validate_detects_problems(rng):
-    ds, _ = make_dataset(rng, 10, 2)
-    assert validate(ds).ok
+def column(pos, val):
+    return np.array(pos, dtype=np.int64), np.array(val, dtype=np.float64)
 
-    ds.time = ds.time.copy()
-    ds.time[3] = 0.0
-    rep = validate(ds)
-    assert not rep.ok and "nonpositive" in rep.first_violation
 
-    ds2, _ = make_dataset(rng, 10, 2)
-    ds2.order = np.roll(ds2.order, 1)
-    rep2 = validate(ds2)
-    assert not rep2.ok
-    assert "order" in rep2.first_violation or "risk set" in rep2.first_violation
+T2, D2 = [1.0, 2.0], [1, 1]
+REPEAT = "repeat, are out of order or fall outside"
+MALFORMED = {  # case: (build, the ValueError's message)
+    "time zero": (lambda: SurvivalDataset([0.0, 1.0], D2, SparseColumnMatrix(2, [])),
+                  "nonpositive or non-finite time for subject 1"),
+    "time nan": (lambda: SurvivalDataset([np.nan, 1.0], D2, SparseColumnMatrix(2, [])),
+                 "nonpositive or non-finite time for subject 1"),
+    "status 2": (lambda: SurvivalDataset(T2, [1, 2], SparseColumnMatrix(2, [])),
+                 "status outside {0,1} for subject 2"),
+    "time and status lengths": (lambda: SurvivalDataset(T2, [1], SparseColumnMatrix(2, [])),
+                                "of one length"),
+    "no subjects": (lambda: SurvivalDataset([], [], SparseColumnMatrix(0, [])), "empty"),
+    "design rows": (lambda: SurvivalDataset(T2, D2, SparseColumnMatrix(3, [])),
+                    "one row per subject"),
+    "row -1": (lambda: SurvivalDataset.from_columns(T2, D2, [([-1], [1.0])]),
+               "not integers in [0, 2)"),
+    "fractional rows": (lambda: SurvivalDataset.from_columns(T2, D2, [([0.7, 1.2], [1.0, 2.0])]),
+                        "not integers in [0, 2)"),
+    "duplicate row": (lambda: SurvivalDataset.from_columns(T2, D2, [([1, 1], [1.0, 2.0])]),
+                      REPEAT),
+    "row 5 at n=2": (lambda: SurvivalDataset.from_columns(T2, D2, [([5], [1.0])]),
+                     "not integers in [0, 2)"),
+    "rows and values lengths": (lambda: SurvivalDataset.from_columns(T2, D2, [([0, 1], [1.0])]),
+                                "differ in length"),
+    "dense rows": (lambda: SurvivalDataset.from_dense(T2, D2, np.ones((3, 1))),
+                   "one row per subject"),
+    "unsorted positions and a stored zero": (lambda: SparseColumnMatrix(
+        3, [(np.array([2, 0]), np.array([1.0, 0.0]))]), REPEAT),
+    "stored zero": (lambda: SparseColumnMatrix(3, [column([0, 2], [1.0, 0.0])]),
+                    "stored zero value in column x1"),
+    "position n": (lambda: SparseColumnMatrix(3, [column([1, 3], [1.0, 1.0])]), REPEAT),
+    "repeated position": (lambda: SparseColumnMatrix(3, [column([1, 1], [1.0, 1.0])]), REPEAT),
+    "non-finite value": (lambda: SparseColumnMatrix(3, [column([], []), column([1], [np.inf])]),
+                         "non-finite value in column x2"),
+    "int32 positions": (lambda: SparseColumnMatrix(
+        3, [(np.array([1], dtype=np.int32), np.array([1.0]))]), "int64 position array"),
+    "positions and values lengths": (lambda: SparseColumnMatrix(3, [column([0, 1], [1.0])]),
+                                     "of one length"),
+    "scale of another length": (lambda: SparseColumnMatrix(3, [column([1], [1.0])],
+                                                           scale=np.ones(2)),
+                                "one entry per column"),
+}
+
+
+@pytest.mark.parametrize("build, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_no_argument_can_disagree_with_the_data():
+    # an order, n or p argument could only repeat or contradict time, status and columns
+    assert list(inspect.signature(SurvivalDataset).parameters) == ["time", "status", "design"]
+    assert list(inspect.signature(SurvivalDataset.from_columns).parameters) == [
+        "time", "status", "columns"]
+    assert "p" not in inspect.signature(SparseColumnMatrix).parameters
 
 
 def test_standardize_center_and_scale():
@@ -253,14 +326,14 @@ def test_datasets_are_read_only(rng, tmp_path):
     t[0] = 0.5
     status[:] = 1 - status
     X[:] = 0.0
-    assert validate(ds).ok
+    check_dataset(ds)
     assert [LinearPredictorState(ds, beta).coord_derivatives(j) for j in range(4)] == derivs
 
     save_dataset(ds, tmp_path / "s.csv", tmp_path / "x.coord", FORMAT_SPARSE)
     built = {
         "from_dense": ds,
         "from_columns": SurvivalDataset.from_columns(
-            ds.time, ds.status, 30, 4,
+            ds.time, ds.status,
             [(np.arange(30), col) for col in ds.dense_design_original_order().T]),
         "load_dataset": load_dataset(tmp_path / "s.csv", tmp_path / "x.coord", FORMAT_SPARSE),
         "scale-only": standardize(ds, "scale-only"),

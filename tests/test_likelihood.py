@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sparsecox import LinearPredictorState, SurvivalDataset, validate
+from sparsecox import LinearPredictorState, SurvivalDataset
 
-from conftest import dense_loglik, dense_coord_derivs, make_dataset
+from conftest import check_dataset, dense_loglik, dense_coord_derivs, make_dataset
 
 
 def two_subject_dataset():
@@ -187,8 +187,9 @@ def test_scan_memo_is_per_dataset(rng):
     status2 = status.copy()
     status2[events[:3]] = 0
     status2[censored[:3]] = 1
-    swapped = SurvivalDataset(t, status2, ds.design, order=ds.order)
-    assert validate(swapped).ok and swapped.event_count == ds.event_count
+    swapped = SurvivalDataset(t, status2, ds.design)
+    check_dataset(swapped)
+    assert swapped.event_count == ds.event_count
     got = LinearPredictorState(swapped, beta)
     fresh = LinearPredictorState(SurvivalDataset.from_dense(t, status2, X), beta)
     for j in range(3):

@@ -4,9 +4,13 @@ them up: a renamed or moved name makes ``Tracer.install`` raise KeyError, and
 a callee that is no longer looked up there drops out of the per-layer
 numbers.  Its workloads and run script read further names (such as
 ``BarConfig().zero_threshold`` and ``SparseColumnMatrix.column``); a rename
-there fails every benchmark operation.  These tests catch all of that."""
+there fails every benchmark operation.  Its ``setup_s`` times a fresh
+``import sparsecox``, which must not pull in scipy or the process pool.
+These tests catch all of that."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sparsecox as sc
@@ -44,3 +48,14 @@ def test_desk_study_replicate_passes_its_checks(monkeypatch, tmp_path):
     assert wl.check(sc, 0, ds, wl.fit(sc, ds)) == []
     assert wl.summary_problems() == []
     assert store_mb(ds) > 0
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    code = ("import sys, sparsecox; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
+    src = str(Path(sc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
