@@ -29,7 +29,8 @@ _MAX_HALVINGS = 40
 @dataclass
 class ScreenResult:
     """Kept column indices (ascending), the restricted estimate over the
-    full coordinate space, rounds used, and whether the kept set settled."""
+    full coordinate space, rounds used, and whether the kept set settled
+    with every accepted refit converged."""
 
     selected: np.ndarray
     beta: np.ndarray
@@ -63,7 +64,8 @@ def sjs_screen(ds, m):
     """Screen down to at most m columns (see module docstring).
 
     A round in which no halved step yields a refittable kept set stalls:
-    the previous set is returned with converged = False.
+    the previous set is returned with converged = False.  A refit that
+    stops at the solver's sweep limit also leaves converged False.
     """
     m = int(m)
     if not 1 <= m <= ds.p:
@@ -77,7 +79,8 @@ def sjs_screen(ds, m):
     eta0 = 1.0 / curvature if curvature > 0.0 else 1.0
 
     prev_keep = None
-    converged = False
+    settled = False
+    polished = True  # every accepted refit converged
     it = 0
     for it in range(1, _MAX_ROUNDS + 1):
         grad = LinearPredictorState(ds, beta).full_gradient()
@@ -95,8 +98,9 @@ def sjs_screen(ds, m):
             return ScreenResult(selected=np.asarray(sel, dtype=np.int64), beta=beta,
                                 iterations=it, converged=False)
         beta = accepted.beta
+        polished = polished and accepted.converged
         if prev_keep is not None and np.array_equal(keep, prev_keep):
-            converged = True
+            settled = True
             break
         prev_keep = keep
 
@@ -105,7 +109,7 @@ def sjs_screen(ds, m):
         # degenerate (e.g. empty design): fall back to the thresholded set
         selected = prev_keep if prev_keep is not None else _top_m(beta, m)
     return ScreenResult(selected=np.asarray(selected, dtype=np.int64), beta=beta,
-                        iterations=it, converged=converged)
+                        iterations=it, converged=settled and polished)
 
 
 def sjs_coxbar(ds, m, config=None):

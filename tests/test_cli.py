@@ -186,6 +186,20 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("header", ["2 -1 0", "2 2 -1", "2 2 100000000000000"])
+def test_fit_refuses_a_bad_sparse_header_in_one_line(tmp_path, capsys, header):
+    surv = tmp_path / "s.csv"
+    surv.write_text("id,time,status\n1,1.0,1\n2,2.0,1\n")
+    design = tmp_path / "d.coord"
+    design.write_text(header + "\n")
+    code = main(["fit", "--surv", str(surv), "--design", str(design),
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "d.coord:1: " in err and err.count("\n") == 1
+    assert not (tmp_path / "fit.json").exists()
+
 def test_fit_cbic_with_one_event_exits_1(tmp_path, capsys):
     surv = tmp_path / "s.csv"
     surv.write_text("id,time,status\n1,1.0,0\n2,2.0,1\n3,3.0,0\n4,4.0,0\n")

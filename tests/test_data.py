@@ -1,6 +1,11 @@
 import inspect
+import os
 import pickle
 import re
+import tempfile
+import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparsecox import (LinearPredictorState, SparseColumnMatrix, SurvivalDataset, load_dataset,
                        save_dataset, standardize)
+from sparsecox import data
 from sparsecox.data import FORMAT_DENSE, FORMAT_SPARSE
 
 from conftest import check_dataset, make_dataset, random_survival_data
@@ -170,6 +176,166 @@ def test_duplicate_sparse_entry_rejected(tmp_path):
     with pytest.raises(ValueError, match="duplicate"):
         load_dataset(surv, des, FORMAT_SPARSE)
 
+
+
+@pytest.mark.parametrize("header, message", [
+    ("2 -1 0", "negative count"),
+    ("2 2 -1", "negative count"),
+    ("-2 2 0", "negative count"),
+    ("2 2 100000000000000", r"nnz=100000000000000 exceeds n\*p=4"),
+    ("2 2 5", r"nnz=5 exceeds n\*p=4"),
+])
+def test_sparse_header_refused_before_the_body(tmp_path, header, message):
+    surv = tmp_path / "s.csv"
+    des = tmp_path / "x.coord"
+    write_survival(surv, [(1.0, 1), (2.0, 1)])
+    des.write_text(header + "\n1 1 1.0\n")
+    with pytest.raises(ValueError, match=r"x\.coord:1: " + message):
+        load_dataset(surv, des, FORMAT_SPARSE)
+
+
+@pytest.mark.parametrize("fmt", [FORMAT_DENSE, FORMAT_SPARSE])
+def test_save_load_round_trip_without_columns(tmp_path, fmt):
+    ds = SurvivalDataset.from_columns([2.0, 1.0, 3.0], [1, 0, 1], [])
+    s1, d1 = tmp_path / "s1.csv", tmp_path / "d1.dat"
+    save_dataset(ds, s1, d1, fmt)
+    ds2 = load_dataset(s1, d1, fmt)
+    assert ds2.p == 0 and dataset_bytes(ds2) == dataset_bytes(ds)
+    s2, d2 = tmp_path / "s2.csv", tmp_path / "d2.dat"
+    save_dataset(ds2, s2, d2, fmt)
+    assert d1.read_bytes() == d2.read_bytes()
+    if fmt == FORMAT_DENSE:
+        assert d1.read_text() == "id\n1\n2\n3\n"
+
+
+def dataset_bytes(ds):
+    """Everything a loaded dataset holds, as bytes."""
+    arrays = [ds.order, ds.event_end, ds.time, ds.status]
+    arrays += [a for pair in ds.design.columns for a in pair]
+    return (ds.n, ds.p, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+def load_outcome(surv, des):
+    try:
+        return dataset_bytes(load_dataset(surv, des, FORMAT_SPARSE))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_well_formed_sparse_file_skips_the_line_loop(rng, tmp_path):
+    ds, _ = make_dataset(rng, 60, 7)
+    save_dataset(ds, tmp_path / "s.csv", tmp_path / "x.coord", FORMAT_SPARSE)
+    with mock.patch.object(data, "_coord_lines", side_effect=AssertionError("line loop ran")):
+        loaded = load_dataset(tmp_path / "s.csv", tmp_path / "x.coord", FORMAT_SPARSE)
+    assert dataset_bytes(loaded) == dataset_bytes(ds)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("body", ["1 1 1.0\n2 2 -0.5\n", "1 1 1_0\n2 2 -0.5\n",
+                                  "1 1 1.0\n2 9 -0.5\n"])
+def test_sparse_design_read_from_a_pipe(tmp_path, body):
+    # a pipe cannot be reread, so a fallback to the line loop must use what was read
+    surv = tmp_path / "s.csv"
+    write_survival(surv, [(1.0, 1), (2.0, 0)])
+    plain, pipe = tmp_path / "x.coord", tmp_path / "pipe.coord"
+    plain.write_text("2 2 2\n" + body)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=("2 2 2\n" + body,), daemon=True)
+    writer.start()
+    outcome = load_outcome(surv, pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    expected = load_outcome(surv, plain)
+    if isinstance(expected[0], type):
+        assert outcome == (ValueError, expected[1].replace("x.coord", "pipe.coord"))
+    else:
+        assert outcome == expected
+
+
+# index and value tokens numpy may refuse or accept; the line loop is the reference
+INDEX_TOKENS = ["3.0", "01", "+1", "1_0", "１", "-1", "0", "x", "1e0"]
+VALUE_TOKENS = ["nan", "inf", "-inf", "1e400", "1e-400", "1_0", "１", "0", "-0.0", "x",
+                "+.5e1", "5.", "1d0"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    p=st.integers(0, 4),
+    data_=st.data(),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    nnz_shift=st.sampled_from([0, 0, 0, -1, 1]),
+    chunk_rows=st.sampled_from([1, 2, 3, 1 << 16]),
+)
+def test_numpy_parse_matches_the_line_loop(n, p, data_, crlf, final_newline, nnz_shift,
+                                           chunk_rows):
+    """The one-pass numpy parse gives the dataset bytes or the ValueError
+    message that the line loop alone gives, on well-formed and malformed
+    files alike, whatever rows a chunk holds."""
+    draw = data_.draw
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    times = draw(st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=n, max_size=n))
+    rows = [[str(r), str(c), v] for r, c, v in draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, max(p, 1)),
+                  st.sampled_from(["1.0", "-2.5", "0.125", "7"])), min_size=1, max_size=6))]
+    # mostly one fault a file, so that each kind is often the only one
+    faults = [draw(st.sampled_from(["index", "index", "value", "drop", "extra"]))
+              for _ in range(draw(st.sampled_from([0, 1, 1, 2])))]
+    for fault in faults:
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "index":
+            k = draw(st.integers(0, 1))
+            ends = ["0", str((n, p)[k] + 1)]  # just outside the range of field k
+            fields[k] = draw(st.one_of(st.sampled_from(ends), st.sampled_from(INDEX_TOKENS)))
+        elif fault == "value":
+            fields[-1] = draw(st.sampled_from(VALUE_TOKENS))
+        elif fault == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        else:
+            fields.append("1")
+    lines = []
+    for fields in rows:
+        sep = draw(st.sampled_from([" ", " ", "\t", "  ", "\x0c"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))  # blank or whitespace-only
+    nnz = max(len(rows) + nnz_shift, 0)
+    clean = p > 0 and not faults and nnz_shift == 0
+    eol = "\r\n" if crlf else "\n"
+    text = f"{n} {p} {nnz}{eol}" + eol.join(lines) + (eol if final_newline else "")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        surv, des = Path(tmp) / "s.csv", Path(tmp) / "x.coord"
+        write_survival(surv, zip(times, status))
+        des.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+            loop_ran = assert_parse_matches_the_line_loop(surv, des)
+    if clean:  # plain tokens, in range, nnz right: numpy alone read them
+        assert not loop_ran
+
+
+@pytest.mark.parametrize("field, token", [(0, t) for t in INDEX_TOKENS + ["3", "4"]]
+                         + [(1, t) for t in INDEX_TOKENS + ["2", "3"]]
+                         + [(2, t) for t in VALUE_TOKENS])
+def test_each_token_parses_as_the_line_loop_parses_it(tmp_path, field, token):
+    # n=3, p=2: rows 3 and 4, columns 2 and 3 are the last in range and the first past it
+    surv, des = tmp_path / "s.csv", tmp_path / "x.coord"
+    write_survival(surv, [(1.0, 1), (2.0, 0), (3.0, 1)])
+    fields = ["2", "1", "0.5"]
+    fields[field] = token
+    des.write_text("3 2 3\n1 1 1.0\n" + " ".join(fields) + "\n3 2 -1.5\n")
+    assert_parse_matches_the_line_loop(surv, des)
+
+
+def assert_parse_matches_the_line_loop(surv, des):
+    """load_dataset gives what the line loop alone gives; returns whether
+    the line loop ran."""
+    with mock.patch.object(data, "_coord_lines", wraps=data._coord_lines) as loop:
+        outcome = load_outcome(surv, des)
+    with mock.patch.object(data, "_coord_triples", return_value=None):
+        assert outcome == load_outcome(surv, des)
+    return loop.called
 
 def test_risk_sets_are_prefixes_brute_force(rng):
     for _ in range(25):

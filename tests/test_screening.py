@@ -75,6 +75,19 @@ def test_polish_losing_likelihood_raises(monkeypatch):
         sjs_screen(ds, 4)
 
 
+
+def test_unconverged_polish_is_reported(monkeypatch):
+    ds, _ = small_signal_dataset(seed=9)
+    settled = sjs_screen(ds, 4)
+    assert settled.converged
+    solve = screening.ccd_minimize
+    monkeypatch.setattr(screening, "ccd_minimize",
+                        lambda *args: replace(solve(*args), converged=False))
+    screen = sjs_screen(ds, 4)
+    np.testing.assert_array_equal(screen.selected, settled.selected)
+    assert not screen.converged
+    assert not sjs_coxbar(ds, 4, BarConfig(lambda_rule="bic")).converged
+
 def test_two_stage_equals_full_bar_when_m_is_p():
     ds, _ = small_signal_dataset(seed=11, n=120, p=6)
     cfg = BarConfig(lambda_rule="bic")
