@@ -41,6 +41,7 @@ __all__ = [
 _LAMBDA_RULES = ("fixed", "bic", "cbic")
 _OUTER_MAX = 200
 _OUTER_TOL = 1e-6
+_GROUPING_TOL = 1e-6  # see GroupingReport
 
 
 @dataclass
@@ -83,14 +84,13 @@ class BarConfig:
 
 @dataclass(frozen=True)
 class BarFit:
-    """One BAR fit.  ``loglik`` and ``objective`` are evaluated at the
-    zero-locked ``beta``; ``sweeps`` counts the coordinate sweeps of every
-    inner solve, ridge start included.  ``screen`` is the ScreenResult of
-    the screening stage for a two-stage fit, None otherwise."""
+    """One BAR fit.  ``loglik`` is evaluated at the zero-locked ``beta``;
+    ``sweeps`` counts the coordinate sweeps of every inner solve, ridge
+    start included.  ``screen`` is the ScreenResult of the screening stage
+    for a two-stage fit, None otherwise."""
 
     beta: np.ndarray
     loglik: float
-    objective: float
     sweeps: int
     outer_iterations: int
     converged: bool
@@ -113,7 +113,6 @@ class BarFit:
 class PathResult:
     """Fits along an ascending tuning grid (lambda or xi)."""
 
-    axis: str
     tunings: np.ndarray
     fits: list
     errors: list
@@ -203,16 +202,11 @@ def fit_bar(ds, config=None):
             converged = True
             break
 
-    # re-evaluate at the zero-locked vector so loglik/objective match beta
-    state = LinearPredictorState(ds, beta)
-    loglik = state.loglik()
-    live = ~frozen
-    objective = -2.0 * loglik
-    if lam > 0.0 and np.any(live):
-        objective += float(np.sum(0.5 * lam / np.abs(beta[live]) ** expo * beta[live] ** 2))
+    # re-evaluate at the zero-locked vector so loglik matches beta
+    loglik = LinearPredictorState(ds, beta).loglik()
     aic, bic, cbic = information_criteria(loglik, int(np.count_nonzero(beta)), ds.n,
                                           ds.event_count)
-    return BarFit(beta=beta.copy(), loglik=loglik, objective=objective, sweeps=sweeps_total,
+    return BarFit(beta=beta.copy(), loglik=loglik, sweeps=sweeps_total,
                   outer_iterations=outer, converged=converged and inner_converged, lam=lam,
                   aic=aic, bic=bic, cbic=cbic)
 
@@ -265,7 +259,7 @@ def path_over(ds, axis, grid, config=None, threads=1):
     if axis == "xi" and np.any(grid <= 0):
         raise ValueError("xi grid values must be positive")
     outcomes = _run_jobs(_fit_point, [(ds, axis, float(v), config) for v in grid], threads)
-    return PathResult(axis=axis, tunings=grid, fits=[f for f, _ in outcomes],
+    return PathResult(tunings=grid, fits=[f for f, _ in outcomes],
                       errors=[None if e is None else str(e) for _, e in outcomes])
 
 
@@ -276,21 +270,20 @@ class GroupingReport:
         |1/b_i - 1/b_j| <= sqrt(2 (n-1)(1-r_ij)) * sqrt(n) * (1+d_n) / lam
 
     over nonzero coefficient pairs.  The comparison is done on the
-    coefficient-difference scale, |b_i - b_j| <= |b_i b_j| * bound + tol,
-    with a small absolute slack for finite solver precision; duplicated
-    columns (r = 1) therefore require |b_i - b_j| <= tol.
+    coefficient-difference scale, |b_i - b_j| <= |b_i b_j| * bound + 1e-6,
+    with an absolute slack for finite solver precision; duplicated columns
+    (r = 1) therefore require |b_i - b_j| <= 1e-6.
     """
 
     pairs: list
     violations: list
-    tol: float
 
     @property
     def ok(self):
         return not self.violations
 
 
-def grouping_bound_check(fit, ds, lam, tol=1e-6):
+def grouping_bound_check(fit, ds, lam):
     """Diagnostic for a converged d = 0 fit on center-and-scale data; see
     GroupingReport for the inequality checked."""
     if ds.design.standardization != MODE_CENTER_SCALE:
@@ -309,9 +302,9 @@ def grouping_bound_check(fit, ds, lam, tol=1e-6):
             bound = math.sqrt(2.0 * (n - 1) * (1.0 - r)) * math.sqrt(n) * (1.0 + d_n) / lam
             bi, bj = fit.beta[i], fit.beta[j]
             lhs = abs(bi - bj)
-            rhs = abs(bi * bj) * bound + tol
+            rhs = abs(bi * bj) * bound + _GROUPING_TOL
             rec = (i, j, r, lhs, rhs)
             pairs.append(rec)
             if lhs > rhs:
                 violations.append(rec)
-    return GroupingReport(pairs=pairs, violations=violations, tol=tol)
+    return GroupingReport(pairs=pairs, violations=violations)

@@ -1,7 +1,7 @@
 """Command-line front end: fit / simulate / bench / path.
 
-Exit codes: 0 success, 1 input or runtime error, 2 fit did not converge
-(the result file is still written).
+Exit codes: 0 success, 1 input or runtime error (running out of memory
+included), 2 fit did not converge (the result file is still written).
 """
 
 from __future__ import annotations
@@ -47,36 +47,39 @@ def parse_grid(spec):
     return np.asarray([float(tok) for tok in spec.split(",") if tok.strip()])
 
 
-def _add_tuning_flags(sub, lambda_rule=True):
-    sub.add_argument("--xi", type=float, default=1.0)
+def _add_tuning_flags(sub, lambda_rule=True, screen=True):
+    # None stands for a flag not given, so that a command can refuse one it would ignore
+    sub.add_argument("--xi", type=float, default=None)
     sub.add_argument("--lambda", dest="lam", type=float, default=None)
     if lambda_rule:  # a bench method names its own rule
         sub.add_argument("--lambda-rule", dest="lambda_rule",
-                         choices=["bic", "cbic", "fixed"], default="bic")
+                         choices=["bic", "cbic", "fixed"], default=None)
     sub.add_argument("--d", type=float, default=0.0)
-    sub.add_argument("--screen-m", dest="screen_m", type=int, default=None)
+    if screen:  # path_over never screens
+        sub.add_argument("--screen-m", dest="screen_m", type=int, default=None)
+
+
+def _xi(args):
+    return 1.0 if args.xi is None else args.xi
 
 
 def _bar_config(args):
     rule = args.lambda_rule
     if args.lam is not None:
+        if rule not in (None, "fixed"):
+            raise ValueError(f"--lambda fixes lambda, so --lambda-rule {rule} would be ignored")
         rule = "fixed"
-    return BarConfig(xi=args.xi, lambda_rule=rule, lambda_value=args.lam, d=args.d)
+    return BarConfig(xi=_xi(args), lambda_rule=rule or "bic", lambda_value=args.lam, d=args.d)
 
 
 def _load(args):
-    fmt = args.format
-    if fmt in (None, "auto"):
-        fmt = detect_design_format(args.design)
-    ds = load_dataset(args.surv, args.design, fmt)
-    if args.standardize != "none":
-        ds = standardize(ds, args.standardize)
-    return ds
+    ds = load_dataset(args.surv, args.design, detect_design_format(args.design))
+    return standardize(ds, args.standardize)
 
 
 def cmd_fit(args):
-    ds = _load(args)
     config = _bar_config(args)
+    ds = _load(args)
     if args.screen_m is not None:
         fit = sjs_coxbar(ds, args.screen_m, config)
     else:
@@ -93,7 +96,7 @@ def cmd_fit(args):
         "iterations": {"outer": fit.outer_iterations, "sweeps": fit.sweeps},
         "converged": bool(fit.converged),
         "config": {
-            "xi": args.xi,
+            "xi": config.xi,
             "lambda": fit.lam,
             "lambda_rule": config.lambda_rule,
             "d": args.d,
@@ -117,7 +120,7 @@ def cmd_simulate(args):
         scenario.seed = args.seed
     ds = simulate(scenario)
     fmt = args.format
-    if fmt in (None, "auto"):
+    if fmt == "auto":
         density = ds.design.nnz() / max(ds.n * ds.p, 1)
         fmt = FORMAT_SPARSE if density < 0.5 else FORMAT_DENSE
     save_dataset(ds, args.out_surv, args.out_design, fmt)
@@ -130,7 +133,7 @@ def cmd_bench(args):
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
     scenario = SimScenario.from_config(args.scenario)
-    method = MethodConfig.from_name(args.method, lam=args.lam, xi=args.xi,
+    method = MethodConfig.from_name(args.method, lam=args.lam, xi=_xi(args),
                                     d=args.d, screen_m=args.screen_m)
     seed = args.seed if args.seed is not None else scenario.seed
     report = run_benchmark(scenario, method, args.reps, seed, threads=args.threads)
@@ -140,17 +143,27 @@ def cmd_bench(args):
 
 
 def cmd_path(args):
+    if args.axis == "xi" and args.xi is not None:
+        raise ValueError("the xi axis takes xi from --grid, so --xi would be ignored")
+    if args.axis == "lambda" and (args.lam is not None or args.lambda_rule is not None):
+        raise ValueError("the lambda axis takes lambda from --grid, so --lambda and "
+                         "--lambda-rule would be ignored")
+    config = _bar_config(args)
     if args.scenario:
+        if args.surv or args.design:
+            raise ValueError("path takes either --scenario or --surv/--design, not both")
         scenario = SimScenario.from_config(args.scenario)
         if args.seed is not None:
             scenario.seed = args.seed
-        ds = simulate(scenario)
+        ds = standardize(simulate(scenario), args.standardize)
     else:
         if not (args.surv and args.design):
             raise ValueError("path needs either --scenario or --surv/--design")
+        if args.seed is not None:
+            raise ValueError("--seed draws a --scenario, so --surv/--design would ignore it")
         ds = _load(args)
     grid = np.sort(parse_grid(args.grid))
-    path = path_over(ds, args.axis, grid, _bar_config(args), threads=args.threads)
+    path = path_over(ds, args.axis, grid, config, threads=args.threads)
     path = replace(path, fits=[None if fit is None else
                                replace(fit, beta=to_original_scale(ds, fit.beta))
                                for fit in path.fits])
@@ -171,7 +184,6 @@ def build_parser():
     fit = subs.add_parser("fit", help="fit one dataset, write a JSON result")
     fit.add_argument("--surv", required=True)
     fit.add_argument("--design", required=True)
-    fit.add_argument("--format", choices=["auto", FORMAT_DENSE, FORMAT_SPARSE], default="auto")
     fit.add_argument("--standardize", choices=["none", "scale-only", "center-and-scale"],
                      default="none")
     _add_tuning_flags(fit)
@@ -200,12 +212,11 @@ def build_parser():
     path.add_argument("--scenario", default=None)
     path.add_argument("--surv", default=None)
     path.add_argument("--design", default=None)
-    path.add_argument("--format", choices=["auto", FORMAT_DENSE, FORMAT_SPARSE], default="auto")
     path.add_argument("--standardize", choices=["none", "scale-only", "center-and-scale"],
                       default="none")
     path.add_argument("--axis", choices=["lambda", "xi"], required=True)
     path.add_argument("--grid", required=True)
-    _add_tuning_flags(path)
+    _add_tuning_flags(path, screen=False)
     path.add_argument("--seed", type=int, default=None)
     path.add_argument("--threads", type=int, default=1)
     path.add_argument("--out", required=True)
@@ -227,8 +238,8 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -122,10 +122,6 @@ class SparseColumnMatrix:
             out -= self.offset[j]
         return out
 
-    def to_dense(self):
-        return np.column_stack([self.dense_column(j) for j in range(self.p)]) \
-            if self.p else np.zeros((self.n, 0))
-
 
 class SurvivalDataset:
     """Immutable right-censored sample, sorted for prefix-sum risk sets.
@@ -245,11 +241,13 @@ class SurvivalDataset:
         return SurvivalDataset(self.time, self.status, design)
 
     def dense_design_original_order(self):
-        """Dense design with rows in the original input order (small data only)."""
-        X = self.design.to_dense()
-        out = np.empty_like(X)
-        out[self.order] = X
-        return out
+        """Dense design with rows in the original input order (small data only),
+        filled in one n-by-p array."""
+        X = np.zeros((self.n, self.p))
+        for j, (pos, val) in enumerate(self.design.columns):
+            X[self.order[pos], j] = val
+        X -= self.design.offset  # exact where the offset is 0
+        return X
 
 
 # -- standardization -------------------------------------------------------

@@ -67,7 +67,7 @@ class LinearPredictorState:
             )
         self.eta = eta
         self.w = np.exp(eta)
-        self.denom_at_events = np.cumsum(self.w)[ds.event_end]
+        self.refresh()
 
     # -- evaluation -------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Synthetic survival data generation and selection benchmarking.
 
-Event times follow an exponential proportional-hazards model: with a
-constant baseline hazard h0, T = E / (h0 * exp(x.beta0)) for E ~ Exp(1).
+Event times T = E / exp(x.beta0), E ~ Exp(1), follow a proportional-hazards
+model with unit baseline hazard; any other constant would only rescale time.
 Censoring times are U(0, u_max) with u_max calibrated by bisection so the
 expected censoring fraction over a 50000-subject pilot sample matches the
 target.  Designs are either AR(1) Gaussian (corr(x_i, x_j) = rho^|i-j|)
@@ -40,6 +40,7 @@ _STREAM_DESIGN, _STREAM_EVENT, _STREAM_CENSOR, _STREAM_PILOT = 0, 1, 2, 3
 _PILOT_SIZE = 50000
 _CALIB_TOL = 0.005     # half a percentage point
 _CALIB_MAX_STEPS = 60
+_SCENARIO_KEYS = ("n", "p", "beta0", "design", "censoring", "seed")
 
 
 def _rng(seed, stream):
@@ -66,7 +67,6 @@ class SimScenario:
     design: str = "ar1:0.5"
     censoring: float = 0.2
     seed: int = 0
-    baseline_hazard: float = 1.0
 
     def __post_init__(self):
         beta0 = np.asarray(self.beta0, dtype=np.float64).ravel()
@@ -79,8 +79,6 @@ class SimScenario:
             raise ValueError("censoring target must lie in [0, 1)")
         if self.n < 1 or self.p < 0:
             raise ValueError("n and p must be positive")
-        if self.baseline_hazard <= 0:
-            raise ValueError("baseline hazard must be positive")
         self.design_kind, self.design_param = _parse_design(self.design)
 
     @property
@@ -89,7 +87,8 @@ class SimScenario:
 
     @classmethod
     def from_config(cls, path):
-        """Read a flat key=value scenario file (see README for the syntax)."""
+        """Read a flat key=value scenario file (see README for the syntax);
+        an unknown or repeated key raises ValueError naming its line."""
         fields = {}
         with open(path, "rt", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -99,8 +98,13 @@ class SimScenario:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                fields[key.strip()] = value.strip()
-        missing = {"n", "p", "beta0", "design", "censoring", "seed"} - set(fields)
+                key = key.strip()
+                if key not in _SCENARIO_KEYS:
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in fields:
+                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                fields[key] = value.strip()
+        missing = set(_SCENARIO_KEYS) - set(fields)
         if missing:
             raise ValueError(f"{path}: missing keys {sorted(missing)}")
         return cls(
@@ -208,7 +212,7 @@ def _calibrate_umax(scenario):
     target = scenario.censoring
     rng = _rng(scenario.seed, _STREAM_PILOT)
     eta = _linear_predictor_pilot(scenario, rng, _PILOT_SIZE)
-    t = rng.exponential(size=_PILOT_SIZE) / (scenario.baseline_hazard * np.exp(eta))
+    t = rng.exponential(size=_PILOT_SIZE) / np.exp(eta)
 
     def frac(u):
         return float(np.minimum(t / u, 1.0).mean())
@@ -254,7 +258,7 @@ def simulate(scenario):
             if scenario.beta0[j] != 0.0:
                 eta[rows] += scenario.beta0[j]
 
-    t_event = rng_event.exponential(size=n) / (scenario.baseline_hazard * np.exp(eta))
+    t_event = rng_event.exponential(size=n) / np.exp(eta)
     if np.any(t_event <= 0.0):
         raise RuntimeError("degenerate zero event time drawn; change the seed")
 

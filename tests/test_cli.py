@@ -64,7 +64,7 @@ def test_standardized_fit_and_path_report_input_scale(tmp_path, simulated_files)
     fits = {}
     for name, path in (("raw", design), ("scaled", scaled)):
         out = tmp_path / f"{name}.json"
-        assert main(["fit", "--surv", str(surv), "--design", str(path), "--format", "dense-csv",
+        assert main(["fit", "--surv", str(surv), "--design", str(path),
                      "--standardize", "center-and-scale", "--out", str(out)]) == 0
         fits[name] = json.loads(out.read_text())
     raw, scaled_fit = fits["raw"], fits["scaled"]
@@ -82,7 +82,7 @@ def test_standardized_fit_and_path_report_input_scale(tmp_path, simulated_files)
     assert scaled_fit["bic"] == fit.bic
 
     out = tmp_path / "path.csv"
-    assert main(["path", "--surv", str(surv), "--design", str(scaled), "--format", "dense-csv",
+    assert main(["path", "--surv", str(surv), "--design", str(scaled),
                  "--standardize", "center-and-scale", "--axis", "xi", "--grid", "1",
                  "--out", str(out)]) == 0
     row = out.read_text().splitlines()[1].split(",")
@@ -159,6 +159,81 @@ def test_bench_refuses_tuning_its_method_ignores(tmp_path, scenario_file, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("fit", ["--lambda-rule", "cbic", "--lambda", "0.5"], "--lambda-rule cbic would be ignored"),
+    ("fit", ["--format", "dense-csv"], "unrecognized arguments: --format"),
+    ("path", ["--axis", "xi", "--xi", "7"], "--xi would be ignored"),
+    ("path", ["--axis", "lambda", "--lambda-rule", "cbic"], "--lambda-rule would be ignored"),
+    ("path", ["--axis", "lambda", "--lambda", "3"], "--lambda-rule would be ignored"),
+    ("path", ["--axis", "xi", "--lambda-rule", "bic", "--lambda", "3"],
+     "--lambda-rule bic would be ignored"),
+    ("path", ["--axis", "xi", "--seed", "9"], "--seed draws a --scenario"),
+    ("path", ["--axis", "xi", "--screen-m", "2"], "unrecognized arguments: --screen-m"),
+    ("path", ["--axis", "xi", "--format", "dense-csv"], "unrecognized arguments: --format"),
+])
+def test_fit_and_path_refuse_tuning_they_ignore(tmp_path, simulated_files, capsys, command,
+                                                flags, message):
+    surv, design = simulated_files
+    out = tmp_path / "out"
+    argv = [command, "--surv", str(surv), "--design", str(design), "--out", str(out)]
+    if command == "path":
+        argv += ["--grid", "1,2"]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("error:") == 1
+    assert not out.exists()
+
+
+def test_path_refuses_scenario_with_files(tmp_path, scenario_file, simulated_files, capsys):
+    surv, design = simulated_files
+    out = tmp_path / "path.csv"
+    assert main(["path", "--scenario", str(scenario_file), "--surv", str(surv),
+                 "--design", str(design), "--axis", "xi", "--grid", "1",
+                 "--out", str(out)]) == 1
+    assert "either --scenario or --surv/--design" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_defaults_echo_config(simulated_files, capsys):
+    surv, design = simulated_files
+    assert main(["fit", "--surv", str(surv), "--design", str(design)]) == 0
+    text = capsys.readouterr().out
+    assert '"xi": 1.0,' in text and '"lambda_rule": "bic",' in text
+    assert '"screen_m": null,' in text and '"standardize": "none"' in text
+
+
+def test_path_standardizes_a_simulated_dataset(tmp_path, scenario_file):
+    out = tmp_path / "path.csv"
+    assert main(["path", "--scenario", str(scenario_file), "--standardize", "center-and-scale",
+                 "--axis", "xi", "--grid", "1", "--out", str(out)]) == 0
+    ds = standardize(simulate(SimScenario.from_config(scenario_file)), "center-and-scale")
+    fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
+    row = out.read_text().splitlines()[1].split(",")
+    np.testing.assert_array_equal([float(v) for v in row[7:]], to_original_scale(ds, fit.beta))
+    assert float(row[3]) == fit.loglik
+
+
+def test_scenario_file_with_unknown_key_exits_1(tmp_path, scenario_file, capsys):
+    scenario_file.write_text(scenario_file.read_text() + "rho=0.9\n")
+    code = main(["simulate", "--scenario", str(scenario_file), "--out-surv",
+                 str(tmp_path / "s.csv"), "--out-design", str(tmp_path / "d.dat")])
+    assert code == 1
+    assert "scenario.cfg:7: unknown key 'rho'" in capsys.readouterr().err
+
+
+def test_fit_out_of_memory_exits_1_in_one_line(tmp_path, capsys):
+    surv = tmp_path / "s.csv"
+    surv.write_text("id,time,status\n1,1.0,1\n2,2.0,1\n")
+    design = tmp_path / "d.coord"
+    design.write_text("2 1000000000000000 0\n")  # the loader allocates p columns whatever nnz is
+    code = main(["fit", "--surv", str(surv), "--design", str(design),
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_path_from_scenario(tmp_path, scenario_file):
     out = tmp_path / "path.csv"
     code = main(["path", "--scenario", str(scenario_file), "--axis", "xi",
@@ -205,8 +280,7 @@ def test_fit_cbic_with_one_event_exits_1(tmp_path, capsys):
     surv.write_text("id,time,status\n1,1.0,0\n2,2.0,1\n3,3.0,0\n4,4.0,0\n")
     design = tmp_path / "d.csv"
     design.write_text("id,x1\n1,0.5\n2,-1.0\n3,2.0\n4,0.0\n")
-    code = main(["fit", "--surv", str(surv), "--design", str(design), "--format", "dense-csv",
-                 "--lambda-rule", "cbic"])
+    code = main(["fit", "--surv", str(surv), "--design", str(design), "--lambda-rule", "cbic"])
     assert code == 1
     assert "cbic rule needs at least two events" in capsys.readouterr().err
 

@@ -516,6 +516,30 @@ def test_datasets_are_read_only(rng, tmp_path):
             target[0] = 100.0
 
 
+@pytest.mark.parametrize("mode", ["none", "scale-only", "center-and-scale"])
+def test_dense_design_original_order_matches_entry_by_entry(rng, mode):
+    t, status, X = random_survival_data(rng, 25, 5)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X[0, :] = 1.5  # no column is constant, so center-and-scale takes every one
+    ds = standardize(SurvivalDataset.from_dense(t, status, X), mode)
+    expected = np.empty(X.shape)
+    for k in range(ds.n):
+        for j in range(ds.p):
+            pos, val = ds.design.columns[j]
+            hit = np.flatnonzero(pos == k)
+            stored = val[hit[0]] if hit.size else 0.0
+            expected[ds.order[k], j] = stored - ds.design.offset[j]
+    dense = ds.dense_design_original_order()
+    assert same_bytes(dense, expected) and dense.flags.c_contiguous
+    if mode == "none":
+        np.testing.assert_array_equal(dense, X)
+    if mode == "center-and-scale":
+        np.testing.assert_allclose(dense.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose((dense ** 2).sum(axis=0), ds.n - 1.0, rtol=1e-12)
+    empty = SurvivalDataset.from_dense(t, status, np.zeros((25, 0)))
+    assert empty.dense_design_original_order().shape == (25, 0)
+
+
 @pytest.mark.parametrize("mode", ["none", "center-and-scale"])
 def test_pickled_dataset_is_rebuilt_read_only(rng, mode):
     t, status, X = random_survival_data(rng, 30, 4)

@@ -26,6 +26,18 @@ def test_scenario_config_round_trip(tmp_path):
     assert back.design == "ar1:0.5" and back.censoring == 0.2
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("rho=0.9\n", r"scenario.cfg:7: unknown key 'rho'"),
+    ("seed=8\n", r"scenario.cfg:7: repeated key 'seed'"),
+])
+def test_scenario_config_refuses_unknown_and_repeated_keys(tmp_path, extra, message):
+    path = tmp_path / "scenario.cfg"
+    SimScenario(n=50, p=8, beta0=[0.5], seed=42).to_config(path)
+    path.write_text(path.read_text() + extra)
+    with pytest.raises(ValueError, match=message):
+        SimScenario.from_config(path)
+
+
 def test_simulate_deterministic():
     scen = SimScenario(n=200, p=5, beta0=[0.5], design="ar1:0.5", censoring=0.2, seed=9)
     a, b = simulate(scen), simulate(scen)
