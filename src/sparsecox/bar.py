@@ -2,16 +2,15 @@
 reweighted L2-penalized partial-likelihood optimization.
 
 The estimator starts from a plain ridge fit (uniform weight xi), then
-repeatedly re-solves with per-coordinate weights lam / (2 |beta_j|^(2-d))
-taken from the previous iterate (a Gaussian prior with variance
-|beta_j|^(2-d) / lam against the deviance), warm-starting each solve.
-Coordinates whose magnitude falls below ``BarConfig.zero_threshold`` are
-locked to exact zero and never revisited, so the active space only shrinks.
-The loop stops once an outer iteration moves every coefficient by less than
-_OUTER_TOL or locks them all, or after _OUTER_MAX iterations.  With d = 0 the
-limit is a local optimizer of an L0-type criterion; lam = ln(n) or
-ln(#events) makes that criterion BIC or censored BIC, which is why those two
-presets need no data-driven tuning.
+repeatedly re-solves with per-coordinate weights lam / (2 beta_j^2) taken
+from the previous iterate (a Gaussian prior with variance beta_j^2 / lam
+against the deviance), warm-starting each solve.  Coordinates whose
+magnitude falls below ``BarConfig.zero_threshold`` are locked to exact zero
+and never revisited, so the active space only shrinks.  The loop stops once
+an outer iteration moves every coefficient by less than _OUTER_TOL or locks
+them all, or after _OUTER_MAX iterations.  The limit is a local optimizer of
+an L0-type criterion; lam = ln(n) or ln(#events) makes that criterion BIC or
+censored BIC, which is why those two presets need no data-driven tuning.
 """
 
 from __future__ import annotations
@@ -50,27 +49,22 @@ class BarConfig:
 
     lambda_rule: "bic" (lam = ln n), "cbic" (lam = ln #events) or "fixed"
     (lambda_value); a lambda search is ``path_over(ds, "lambda", grid)``
-    and an argmin over its fits.  d in [0, 1] trades sparsity for
-    recall: weights are lam / |beta|^(2-d), so d = 0 is the L0 surrogate
-    and larger d penalizes small coefficients less harshly.
+    and an argmin over its fits.  xi and lambda_value must be finite.
     """
 
     xi: float = 1.0
     lambda_rule: str = "bic"
     lambda_value: float = None
-    d: float = 0.0
     zero_threshold: ClassVar[float] = 1e-8  # |beta_j| below this locks j at exact 0
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        if not 0.0 < self.xi < math.inf:
+            raise ValueError("xi must be positive and finite")
         if self.lambda_rule not in _LAMBDA_RULES:
             raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
         if self.lambda_rule == "fixed":
-            if self.lambda_value is None or self.lambda_value < 0:
-                raise ValueError("fixed rule needs a nonnegative lambda_value")
-        if not 0.0 <= self.d <= 1.0:
-            raise ValueError("d must lie in [0, 1]")
+            if self.lambda_value is None or not 0.0 <= self.lambda_value < math.inf:
+                raise ValueError("fixed rule needs a nonnegative, finite lambda_value")
 
     def resolve_lambda(self, ds):
         if self.lambda_rule == "bic":
@@ -144,8 +138,8 @@ def information_criteria(loglik, df, n, event_count):
 
 def fit_ridge(ds, xi):
     """Cox ridge fit with uniform weight xi, started from beta = 0."""
-    if xi <= 0:
-        raise ValueError("xi must be positive")
+    if not 0.0 < xi < math.inf:
+        raise ValueError("xi must be positive and finite")
     return ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p))
 
 
@@ -165,7 +159,6 @@ def fit_bar(ds, config=None):
 
     lam = config.resolve_lambda(ds)
     zeta = config.zero_threshold
-    expo = 2.0 - config.d
 
     ridge = fit_ridge(ds, config.xi)
     beta = ridge.beta
@@ -179,12 +172,11 @@ def fit_bar(ds, config=None):
     for outer in range(1, _OUTER_MAX + 1):
         weights = np.zeros(ds.p)
         live = ~frozen
-        if lam > 0.0:
-            # Gaussian-prior reweighting: penalty lam * b^2 / (2 |prev|^(2-d)),
-            # i.e. prior variance |prev|^(2-d) / lam against the deviance.
-            # The factor 2 matters: without it the ln(n) preset over-thresholds
-            # weak signals instead of selecting like a BIC rule; see README.
-            weights[live] = 0.5 * lam / np.abs(beta[live]) ** expo
+        # Gaussian-prior reweighting: penalty lam * b^2 / (2 prev^2), i.e.
+        # prior variance prev^2 / lam against the deviance.  The factor 2
+        # matters: without it the ln(n) preset over-thresholds weak signals
+        # instead of selecting like a BIC rule; see README.
+        weights[live] = 0.5 * lam / beta[live] ** 2
         inner = ccd_minimize(ds, PenaltySpec(weights, frozen), beta)
         sweeps_total += inner.sweeps
         inner_converged = inner_converged and inner.converged
@@ -254,8 +246,8 @@ def path_over(ds, axis, grid, config=None, threads=1):
     if config is None:
         config = BarConfig()
     grid = np.asarray([float(v) for v in grid])
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be nonempty and strictly ascending")
+    if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be nonempty, finite and strictly ascending")
     if axis == "xi" and np.any(grid <= 0):
         raise ValueError("xi grid values must be positive")
     outcomes = _run_jobs(_fit_point, [(ds, axis, float(v), config) for v in grid], threads)
@@ -284,7 +276,7 @@ class GroupingReport:
 
 
 def grouping_bound_check(fit, ds, lam):
-    """Diagnostic for a converged d = 0 fit on center-and-scale data; see
+    """Diagnostic for a converged fit on center-and-scale data; see
     GroupingReport for the inequality checked."""
     if ds.design.standardization != MODE_CENTER_SCALE:
         raise ValueError("grouping check requires a center-and-scale standardized dataset")

@@ -40,6 +40,8 @@ def parse_grid(spec):
         lo, hi, kind = spec.split(":")
         lo, hi = float(lo), float(hi)
         if kind.startswith("log"):
+            if not (lo > 0 and hi > 0):
+                raise ValueError(f"a log grid needs positive ends, not {spec!r}")
             return np.logspace(np.log10(lo), np.log10(hi), int(kind[3:]))
         if kind.startswith("lin"):
             return np.linspace(lo, hi, int(kind[3:]))
@@ -54,7 +56,6 @@ def _add_tuning_flags(sub, lambda_rule=True, screen=True):
     if lambda_rule:  # a bench method names its own rule
         sub.add_argument("--lambda-rule", dest="lambda_rule",
                          choices=["bic", "cbic", "fixed"], default=None)
-    sub.add_argument("--d", type=float, default=0.0)
     if screen:  # path_over never screens
         sub.add_argument("--screen-m", dest="screen_m", type=int, default=None)
 
@@ -69,7 +70,7 @@ def _bar_config(args):
         if rule not in (None, "fixed"):
             raise ValueError(f"--lambda fixes lambda, so --lambda-rule {rule} would be ignored")
         rule = "fixed"
-    return BarConfig(xi=_xi(args), lambda_rule=rule or "bic", lambda_value=args.lam, d=args.d)
+    return BarConfig(xi=_xi(args), lambda_rule=rule or "bic", lambda_value=args.lam)
 
 
 def _load(args):
@@ -99,7 +100,6 @@ def cmd_fit(args):
             "xi": config.xi,
             "lambda": fit.lam,
             "lambda_rule": config.lambda_rule,
-            "d": args.d,
             "screen_m": args.screen_m,
             "standardize": args.standardize,
         },
@@ -134,7 +134,7 @@ def cmd_bench(args):
         raise ValueError("--reps must be >= 1")
     scenario = SimScenario.from_config(args.scenario)
     method = MethodConfig.from_name(args.method, lam=args.lam, xi=_xi(args),
-                                    d=args.d, screen_m=args.screen_m)
+                                    screen_m=args.screen_m)
     seed = args.seed if args.seed is not None else scenario.seed
     report = run_benchmark(scenario, method, args.reps, seed, threads=args.threads)
     report.to_csv(args.out)
@@ -177,11 +177,12 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="sparsecox",
         description="Sparse Cox regression via iteratively reweighted ridge",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    fit = subs.add_parser("fit", help="fit one dataset, write a JSON result")
+    fit = subs.add_parser("fit", help="fit one dataset, write a JSON result", allow_abbrev=False)
     fit.add_argument("--surv", required=True)
     fit.add_argument("--design", required=True)
     fit.add_argument("--standardize", choices=["none", "scale-only", "center-and-scale"],
@@ -190,7 +191,8 @@ def build_parser():
     fit.add_argument("--out", default=None)
     fit.set_defaults(func=cmd_fit)
 
-    sim = subs.add_parser("simulate", help="draw a dataset from a scenario file")
+    sim = subs.add_parser("simulate", help="draw a dataset from a scenario file",
+                          allow_abbrev=False)
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--out-surv", required=True)
     sim.add_argument("--out-design", required=True)
@@ -198,7 +200,8 @@ def build_parser():
     sim.add_argument("--seed", type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    bench = subs.add_parser("bench", help="replicate benchmark, write a report CSV")
+    bench = subs.add_parser("bench", help="replicate benchmark, write a report CSV",
+                            allow_abbrev=False)
     bench.add_argument("--scenario", required=True)
     bench.add_argument("--method", required=True)
     bench.add_argument("--reps", type=int, required=True)
@@ -208,7 +211,7 @@ def build_parser():
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
 
-    path = subs.add_parser("path", help="solution path over a tuning grid")
+    path = subs.add_parser("path", help="solution path over a tuning grid", allow_abbrev=False)
     path.add_argument("--scenario", default=None)
     path.add_argument("--surv", default=None)
     path.add_argument("--design", default=None)

@@ -69,16 +69,19 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1 or self.p < 0:
+            raise ValueError("n must be positive and p nonnegative")
         beta0 = np.asarray(self.beta0, dtype=np.float64).ravel()
         if beta0.shape[0] > self.p:
             raise ValueError("beta0 longer than p")
         full = np.zeros(self.p)
         full[: beta0.shape[0]] = beta0
+        bad = np.flatnonzero(~np.isfinite(full))
+        if bad.size:
+            raise ValueError(f"beta0 coefficient {bad[0] + 1} is {full[bad[0]]}; it must be finite")
         self.beta0 = full
         if not 0.0 <= self.censoring < 1.0:
             raise ValueError("censoring target must lie in [0, 1)")
-        if self.n < 1 or self.p < 0:
-            raise ValueError("n and p must be positive")
         self.design_kind, self.design_param = _parse_design(self.design)
 
     @property
@@ -338,7 +341,7 @@ class MethodConfig:
     screen_m: int = None
 
     @classmethod
-    def from_name(cls, name, lam=None, xi=1.0, d=0.0, screen_m=None):
+    def from_name(cls, name, lam=None, xi=1.0, screen_m=None):
         base = name.removeprefix("sjs-")
         rule = {"bic-coxbar": "bic", "cbic-coxbar": "cbic", "coxbar": "fixed"}.get(base)
         if rule is None:
@@ -351,7 +354,7 @@ class MethodConfig:
             raise ValueError("method 'coxbar' needs an explicit lambda")
         if rule != "fixed" and lam is not None:
             raise ValueError(f"method {name!r} picks its own lambda")
-        cfg = BarConfig(xi=xi, lambda_rule=rule, lambda_value=lam, d=d)
+        cfg = BarConfig(xi=xi, lambda_rule=rule, lambda_value=lam)
         return cls(name=name, bar=cfg, screen_m=screen_m)
 
 

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsecox import (
     BarConfig,
+    LinearPredictorState,
     SurvivalDataset,
     fit_bar,
     fit_ridge,
@@ -61,10 +63,23 @@ def test_ridge_shrinks_with_xi(rng):
 # -- BAR outer loop --------------------------------------------------------
 
 
-def test_bar_config_tunes_only_lambda_xi_and_d():
+def test_bar_config_tunes_only_lambda_and_xi():
     names = [f.name for f in dataclasses.fields(BarConfig)]
-    assert names == ["xi", "lambda_rule", "lambda_value", "d"]
+    assert names == ["xi", "lambda_rule", "lambda_value"]
     assert BarConfig().zero_threshold == 1e-8
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"xi": math.nan}, {"xi": math.inf}, {"xi": 0.0},
+    {"lambda_rule": "fixed", "lambda_value": math.nan},
+    {"lambda_rule": "fixed", "lambda_value": math.inf},
+    {"lambda_rule": "fixed", "lambda_value": -1.0},
+])
+def test_bar_config_refuses_bad_tuning(kwargs):
+    # nan > 0 is False, so an unchecked nan lambda would skip the reweighting
+    # and return the unpenalized fit as a converged BAR fit
+    with pytest.raises(ValueError, match="xi must be|lambda_value"):
+        BarConfig(**kwargs)
 
 
 def test_bar_zero_design_converges_immediately():
@@ -182,17 +197,52 @@ def test_bar_fixed_point_residual(rng):
     assert np.max(np.abs(again.beta - fit.beta)) < bar._OUTER_TOL
 
 
-def test_bar_d_parameter_less_sparse_on_average():
-    # larger d weakens the small-coefficient penalty, so supports can
-    # only grow on average
-    sizes = {0.0: 0, 0.5: 0}
-    for r in range(100):
-        scen = replace(desk_scenario(n=300, p=10), seed=replicate_seed(99, r))
-        ds = simulate(scen)
-        for d in sizes:
-            fit = fit_bar(ds, BarConfig(lambda_rule="bic", d=d))
-            sizes[d] += fit.support.size
-    assert sizes[0.5] >= sizes[0.0]
+@st.composite
+def edge_datasets(draw):
+    """Tiny datasets with tied times, empty and duplicated columns, p = 0,
+    one event and no event at all."""
+    n = draw(st.integers(1, 8))
+    time = draw(st.lists(st.sampled_from([1.0, 2.0, 2.5, 4.0]), min_size=n, max_size=n))
+    status = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["empty", "duplicate", "values"]), max_size=4)):
+        if kind == "empty":
+            cols.append(np.zeros(n))
+        elif kind == "duplicate" and cols:
+            cols.append(cols[-1])
+        else:
+            cols.append(np.asarray(draw(st.lists(
+                st.floats(-2, 2, allow_subnormal=False), min_size=n, max_size=n))))
+    X = np.column_stack(cols) if cols else np.zeros((n, 0))
+    return SurvivalDataset.from_dense(time, status, X), X
+
+
+# lambda = 0 is left out: on separable data the unpenalized partial likelihood
+# has no maximum, so the fit runs for tens of seconds and can end in the
+# solver's non-finite-objective RuntimeError (see FOUND in CHANGES.md)
+@settings(max_examples=300, deadline=None)
+@given(data=edge_datasets(),
+       config=st.sampled_from([BarConfig(lambda_rule="bic"), BarConfig(lambda_rule="cbic"),
+                               BarConfig(lambda_rule="fixed", lambda_value=3.0)]))
+def test_bar_documented_outcomes_on_edge_data(data, config):
+    ds, X = data
+    if ds.event_count == 0:
+        with pytest.raises(ValueError, match="at least one event"):
+            fit_bar(ds, config)
+        return
+    if ds.event_count == 1 and config.lambda_rule == "cbic":
+        with pytest.raises(ValueError, match="cbic rule needs at least two events"):
+            fit_bar(ds, config)
+        return
+    fit = fit_bar(ds, config)
+    assert fit.beta.shape == (ds.p,) and np.all(np.isfinite(fit.beta))
+    nonzero = fit.beta[fit.beta != 0.0]
+    assert np.all(np.abs(nonzero) >= BarConfig.zero_threshold)
+    assert np.all(fit.beta[~np.any(X != 0.0, axis=0)] == 0.0)  # empty columns
+    assert fit.df == np.count_nonzero(fit.beta)
+    assert fit.loglik == LinearPredictorState(ds, fit.beta).loglik()
+    if ds.p == 0:
+        assert fit.converged and fit.support.size == 0
 
 
 def test_bar_agrees_with_oracle_model_fit():
@@ -283,6 +333,14 @@ def test_path_records_fit_failures_and_propagates_bugs(monkeypatch):
     monkeypatch.setattr(bar, "fit_bar", failing_fit(TypeError))
     with pytest.raises(TypeError, match="no fit here"):
         path_over(ds, "lambda", [1.0, 2.0], BarConfig(), threads=1)
+
+
+@pytest.mark.parametrize("grid", [[math.nan, 1.0], [1.0, math.inf], [2.0, 1.0], []])
+def test_path_refuses_a_grid_that_is_not_finite_and_ascending(grid):
+    # nan compares False, so a nan point would pass the ascending check alone
+    ds = simulate(desk_scenario(n=60, p=3, seed=13))
+    with pytest.raises(ValueError, match="nonempty, finite and strictly ascending"):
+        path_over(ds, "lambda", grid)
 
 
 def test_path_huge_lambda_empties_support(rng):

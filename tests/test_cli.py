@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 
 from sparsecox import (BarConfig, bar, fit_bar, load_dataset, screening, simulate, standardize,
                        to_original_scale)
-from sparsecox.cli import main, parse_grid
+from sparsecox.cli import build_parser, main, parse_grid
 from sparsecox.sim import SimScenario
 
 
@@ -26,6 +27,10 @@ def test_parse_grid():
     assert g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(100.0)
     np.testing.assert_allclose(parse_grid("0.5,1,2"), [0.5, 1.0, 2.0])
     np.testing.assert_allclose(parse_grid("0:1:lin3"), [0.0, 0.5, 1.0])
+    # log10(0) is -inf, and logspace from it gives nan points
+    for spec in ("0:1:log4", "-1:1:log4", "1:0:log4"):
+        with pytest.raises(ValueError, match="log grid needs positive ends"):
+            parse_grid(spec)
 
 
 def test_simulate_then_fit_round_trip(tmp_path, scenario_file, capsys):
@@ -184,6 +189,27 @@ def test_fit_and_path_refuse_tuning_they_ignore(tmp_path, simulated_files, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--lambda", "nan"]),
+    ("fit", ["--lambda", "inf"]),
+    ("fit", ["--xi", "nan"]),
+    ("fit", ["--xi", "inf"]),
+    ("path", ["--axis", "xi", "--lambda", "nan", "--grid", "1"]),
+    ("path", ["--axis", "lambda", "--grid", "0:1:log4"]),
+    ("path", ["--axis", "lambda", "--grid", "1,nan"]),
+])
+def test_fit_and_path_refuse_non_finite_tuning(tmp_path, simulated_files, capsys, command,
+                                               flags):
+    # a nan lambda would give the unpenalized fit, and "lambda": NaN is not JSON
+    surv, design = simulated_files
+    out = tmp_path / "out"
+    assert main([command, "--surv", str(surv), "--design", str(design), "--out", str(out)]
+                + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_path_refuses_scenario_with_files(tmp_path, scenario_file, simulated_files, capsys):
     surv, design = simulated_files
     out = tmp_path / "path.csv"
@@ -200,6 +226,8 @@ def test_fit_defaults_echo_config(simulated_files, capsys):
     text = capsys.readouterr().out
     assert '"xi": 1.0,' in text and '"lambda_rule": "bic",' in text
     assert '"screen_m": null,' in text and '"standardize": "none"' in text
+    assert list(json.loads(text)["config"]) == ["xi", "lambda", "lambda_rule", "screen_m",
+                                                "standardize"]
 
 
 def test_path_standardizes_a_simulated_dataset(tmp_path, scenario_file):
@@ -291,18 +319,51 @@ def test_bad_threads(tmp_path, scenario_file, capsys):
     assert code == 1
 
 
-def test_usage_errors_exit_1_not_2(simulated_files, capsys):
+def test_usage_errors_exit_1_not_2(tmp_path, scenario_file, simulated_files, capsys):
     # 2 is reserved for "fit did not converge"
     surv, design = simulated_files
     fit = ["fit", "--surv", str(surv), "--design", str(design)]
     assert main(fit + ["--threads", "2"]) == 1  # fit takes no --threads
     assert main(fit + ["--bogus"]) == 1
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    # options are never abbreviated, so --d (BAR has one reweighting exponent) and a
+    # prefix of a real option are refused instead of being read as --design or --surv
+    for flag in ("--d", "--sur"):
+        for argv in (["fit", flag, "0.5", "--surv", str(surv), "--design", str(design),
+                      "--out", out],
+                     ["bench", flag, "0.5", "--scenario", str(scenario_file), "--method",
+                      "bic-coxbar", "--reps", "1", "--out", out],
+                     ["path", flag, "0.5", "--surv", str(surv), "--design", str(design),
+                      "--axis", "xi", "--grid", "1", "--out", out]):
+            assert main(argv) == 1
+            assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     assert main(["fit", "--surv", str(surv)]) == 1
     assert "usage:" in capsys.readouterr().err
     for argv in (["--help"], ["--version"], ["fit", "--help"]):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 0
+
+
+def test_each_command_takes_exactly_these_options():
+    # a new setting doubles what the tests must cover, so adding one edits this list
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in sub._actions for s in a.option_strings)
+               for name, sub in subs.choices.items()}
+    common = ["--help", "-h"]
+    assert options == {
+        "fit": sorted(common + ["--surv", "--design", "--standardize", "--xi", "--lambda",
+                                "--lambda-rule", "--screen-m", "--out"]),
+        "simulate": sorted(common + ["--scenario", "--out-surv", "--out-design", "--format",
+                                     "--seed"]),
+        "bench": sorted(common + ["--scenario", "--method", "--reps", "--xi", "--lambda",
+                                  "--screen-m", "--seed", "--threads", "--out"]),
+        "path": sorted(common + ["--scenario", "--surv", "--design", "--standardize", "--axis",
+                                 "--grid", "--xi", "--lambda", "--lambda-rule", "--seed",
+                                 "--threads", "--out"]),
+    }
 
 
 @pytest.fixture

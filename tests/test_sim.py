@@ -38,6 +38,19 @@ def test_scenario_config_refuses_unknown_and_repeated_keys(tmp_path, extra, mess
         SimScenario.from_config(path)
 
 
+def test_scenario_refuses_non_finite_beta0():
+    # unchecked, these surface later as a failed censoring calibration or a
+    # "degenerate zero event time"
+    with pytest.raises(ValueError, match="beta0 coefficient 2 is nan; it must be finite"):
+        SimScenario(n=50, p=3, beta0=[0.5, np.nan])
+    with pytest.raises(ValueError, match="beta0 coefficient 1 is inf; it must be finite"):
+        SimScenario(n=50, p=3, beta0=[np.inf])
+    for n, p in ((0, 0), (5, -1)):  # not "beta0 longer than p" for p = -1
+        with pytest.raises(ValueError, match="n must be positive and p nonnegative"):
+            SimScenario(n=n, p=p, beta0=[])
+    assert SimScenario(n=5, p=0, beta0=[]).beta0.shape == (0,)
+
+
 def test_simulate_deterministic():
     scen = SimScenario(n=200, p=5, beta0=[0.5], design="ar1:0.5", censoring=0.2, seed=9)
     a, b = simulate(scen), simulate(scen)
