@@ -23,12 +23,13 @@ print(f"simulated n={ds.n}, p={ds.p}, events={ds.event_count} "
 
 # The ridge initializer is dense; every coefficient is nonzero.
 ridge = sc.fit_ridge(ds, xi=1.0)
-print(f"\nridge initializer: {ridge.df} nonzero of {ds.p}")
+print(f"\nridge initializer: {ridge.df} nonzero of {ds.p} "
+      f"({ridge.sweeps} truncated Newton iterations)")
 
 # The reweighted iteration drives noise coordinates to exact zero.
 fit = sc.fit_bar(ds, sc.BarConfig(lambda_rule="bic"))
 print(f"BAR fit: converged={fit.converged} after {fit.outer_iterations} "
-      f"reweighting steps ({fit.sweeps} coordinate sweeps)")
+      f"reweighting steps ({fit.sweeps} ridge Newton iterations and coordinate sweeps)")
 print(f"selected columns (1-based): {[int(j) + 1 for j in fit.support]}")
 
 print("\n coefficient  truth   estimate")

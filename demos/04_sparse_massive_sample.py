@@ -41,7 +41,7 @@ recovered = sorted(set(fit.support.tolist()) & set(range(36)))
 noise = sorted(set(fit.support.tolist()) - set(range(36)))
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(f"fit in {elapsed:.0f}s ({fit.outer_iterations} reweighting steps, "
-      f"{fit.sweeps} sweeps); peak memory {peak:.0f} MB "
+      f"{fit.sweeps} ridge Newton iterations and sweeps); peak memory {peak:.0f} MB "
       f"vs {ds.n * ds.p * 8 / 2**20:.0f} MB for dense storage")
 print(f"recovered {len(recovered)} of 36 signals, {len(noise)} noise columns")
 print(f"BIC={fit.bic:.1f}")

@@ -1,8 +1,10 @@
 """sparsecox: scalable sparse Cox regression on column-sparse survival data.
 
 The estimator is a broken-adaptive-ridge (BAR) fit: an initial ridge
-solution refined by iteratively reweighted L2-penalized partial-likelihood
-optimization, solved with cyclic coordinate descent over sparse columns.
+solution, solved by truncated Newton on whole-vector score and
+Hessian-vector kernels, refined by iteratively reweighted L2-penalized
+partial-likelihood optimization, solved with cyclic coordinate descent over
+sparse columns.
 Fixing the reweighting strength at ln(n) or ln(#events) makes the limit a
 local BIC / censored-BIC optimizer, so no tuning search is needed.
 """

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .solver import PenaltySpec, ccd_minimize
+from .solver import PenaltySpec, ccd_minimize, newton_ridge
 from .likelihood import LinearPredictorState
 from .data import MODE_CENTER_SCALE
 
@@ -79,9 +79,9 @@ class BarConfig:
 @dataclass(frozen=True)
 class BarFit:
     """One BAR fit.  ``loglik`` is evaluated at the zero-locked ``beta``;
-    ``sweeps`` counts the coordinate sweeps of every inner solve, ridge
-    start included.  ``screen`` is the ScreenResult of the screening stage
-    for a two-stage fit, None otherwise."""
+    ``sweeps`` counts the Newton iterations of the ridge start plus the
+    coordinate sweeps of every outer solve.  ``screen`` is the ScreenResult
+    of the screening stage for a two-stage fit, None otherwise."""
 
     beta: np.ndarray
     loglik: float
@@ -137,10 +137,12 @@ def information_criteria(loglik, df, n, event_count):
 
 
 def fit_ridge(ds, xi):
-    """Cox ridge fit with uniform weight xi, started from beta = 0."""
+    """Cox ridge fit with uniform weight xi, started from beta = 0 and solved
+    by truncated Newton (``solver.newton_ridge``): ``sweeps`` on the result
+    counts Newton iterations."""
     if not 0.0 < xi < math.inf:
         raise ValueError("xi must be positive and finite")
-    return ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p))
+    return newton_ridge(ds, float(xi))
 
 
 def fit_bar(ds, config=None):

@@ -5,7 +5,8 @@ Subjects are kept internally in descending-time order so that every risk set
 ordered events-before-censorings (stable by input index), and tied event
 times share one risk set per the Breslow convention.  Design columns are
 stored as (position, value) pairs in that same order, which is what the
-coordinate-descent kernels scan.  The constructors refuse malformed input
+coordinate-descent kernels scan, and as one compressed-column triple, which
+the whole-vector kernels read.  The constructors refuse malformed input
 with ValueError, so every dataset that exists is valid, and every array a
 dataset holds is read-only.
 """
@@ -25,6 +26,8 @@ __all__ = [
     "standardize",
     "to_original_scale",
 ]
+
+_DENSE_BLOCK = 1 << 17  # entries of the design that from_dense transposes at a time
 
 MODE_NONE = "none"
 MODE_SCALE = "scale-only"
@@ -73,6 +76,22 @@ def _check_column(n, j, pos, val):
         raise ValueError(f"stored zero value in column x{j + 1}")
 
 
+def _store_is_valid(n, pos, val, ptr):
+    """Whether every column of a compressed-column store would pass
+    _check_column, tested on the whole arrays at once."""
+    if not (isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.ndim == 1
+            and isinstance(val, np.ndarray) and val.dtype == np.float64
+            and val.shape == pos.shape):
+        return False
+    if not pos.shape[0]:
+        return True
+    rising = pos[1:] > pos[:-1]
+    starts = ptr[1:-1]
+    rising[starts[(starts > 0) & (starts < pos.shape[0])] - 1] = True  # a column starts anew
+    return bool(rising.all() and pos.min() >= 0 and pos.max() < n
+                and np.isfinite(val).all() and val.all())
+
+
 class SparseColumnMatrix:
     """Column-oriented sparse n-by-p matrix, p = len(columns).
 
@@ -84,15 +103,21 @@ class SparseColumnMatrix:
     a per-column offset so that standardization never densifies the storage.
     ``scale[j]`` maps standardized coefficients back to the original
     covariate scale (beta_original = beta_stored / scale).  The matrix makes
-    the arrays it is given read-only.
+    the arrays it is given read-only.  ``csc()`` gives every column at once
+    as one compressed-column triple.
     """
 
     def __init__(self, n, columns, scale=None, offset=None, standardization=MODE_NONE):
+        self._assign(n, columns, scale, offset, standardization)
+        for j, (pos, val) in enumerate(self.columns):
+            _check_column(self.n, j, pos, val)
+        _frozen(*(a for pair in self.columns for a in pair))
+        self._csc = None
+
+    def _assign(self, n, columns, scale, offset, standardization):
         self.n = int(n)
         self.columns = tuple(columns)
         self.p = p = len(self.columns)
-        for j, (pos, val) in enumerate(self.columns):
-            _check_column(self.n, j, pos, val)
         self.scale = np.ones(p) if scale is None else scale
         self.offset = np.zeros(p) if offset is None else offset
         if self.scale.shape != (p,) or self.offset.shape != (p,):
@@ -100,10 +125,46 @@ class SparseColumnMatrix:
         if standardization not in _MODES:
             raise ValueError(f"unknown standardization mode {standardization!r}")
         self.standardization = standardization
-        _frozen(self.scale, self.offset, *(a for pair in self.columns for a in pair))
+        _frozen(self.scale, self.offset)
 
-    def __reduce__(self):  # a pickled copy is rebuilt, so checked and frozen, by the constructor
-        return type(self), (self.n, self.columns, self.scale, self.offset, self.standardization)
+    @classmethod
+    def from_csc(cls, n, pos, val, ptr, scale=None, offset=None, standardization=MODE_NONE):
+        """The matrix whose column j is (pos[ptr[j]:ptr[j+1]], val[ptr[j]:ptr[j+1]]):
+        its columns are views of the three arrays, which it keeps as its store
+        and makes read-only.  The store is checked as a whole; a column is
+        checked alone only to name the one that fails."""
+        if not (val.shape == pos.shape and ptr.ndim == 1 and ptr.shape[0] and ptr[0] == 0
+                and ptr[-1] == pos.shape[0] and np.all(ptr[1:] >= ptr[:-1])):
+            raise ValueError("column pointers must run from 0 to nnz without decreasing, "
+                             "over positions and values of one length")
+        _frozen(pos, val, ptr)
+        bounds = ptr.tolist()
+        matrix = cls.__new__(cls)
+        matrix._assign(n, [(pos[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:])],
+                       scale, offset, standardization)
+        if not _store_is_valid(matrix.n, pos, val, ptr):
+            for j, (col_pos, col_val) in enumerate(matrix.columns):
+                _check_column(matrix.n, j, col_pos, col_val)
+        matrix._csc = (pos, val, ptr)
+        return matrix
+
+    def __reduce__(self):  # a pickled copy is rebuilt, so checked and frozen, by from_csc
+        return type(self).from_csc, (self.n, *self.csc(), self.scale, self.offset,
+                                     self.standardization)
+
+    def csc(self):
+        """(pos, val, ptr): every column's entries in one compressed-column
+        triple, column j at [ptr[j], ptr[j+1]).  A matrix built by from_csc
+        holds it as its store; any other builds it on the first call and
+        keeps it, one copy of the store."""
+        if self._csc is None:
+            ptr = np.zeros(self.p + 1, dtype=np.int64)
+            np.cumsum([pos.shape[0] for pos, _ in self.columns], out=ptr[1:])
+            pos = np.concatenate([pos for pos, _ in self.columns] or [np.zeros(0, np.int64)])
+            val = np.concatenate([val for _, val in self.columns] or [np.zeros(0)])
+            _frozen(pos, val, ptr)
+            self._csc = (pos, val, ptr)
+        return self._csc
 
     def column(self, j):
         return self.columns[j]
@@ -196,12 +257,18 @@ class SurvivalDataset:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"design must be a matrix with one row per subject (n={n})")
-        cols = []
-        for j in range(X.shape[1]):
-            x = X[order, j]
-            pos = np.flatnonzero(x)
-            cols.append((pos, x[pos]))
-        return cls(time, status, SparseColumnMatrix(n, cols))
+        p = X.shape[1]
+        ptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(X, axis=0), out=ptr[1:])
+        pos, val = np.empty(ptr[-1], dtype=np.int64), np.empty(ptr[-1])
+        width = max(1, _DENSE_BLOCK // n)
+        for lo in range(0, p, width):
+            hi = min(lo + width, p)
+            block = np.ascontiguousarray(X[order, lo:hi].T)  # row c: column lo + c, sorted
+            nz = np.flatnonzero(block)
+            pos[ptr[lo]:ptr[hi]] = nz % n
+            val[ptr[lo]:ptr[hi]] = block.ravel()[nz]
+        return cls(time, status, SparseColumnMatrix.from_csc(n, pos, val, ptr))
 
     @classmethod
     def from_columns(cls, time, status, columns):
@@ -212,10 +279,13 @@ class SurvivalDataset:
         n = order.shape[0]
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        cols = []
+        columns = [(np.asarray(rows), np.asarray(vals, dtype=np.float64))
+                   for rows, vals in columns]
+        # room for every given entry; the zero values dropped below shorten it
+        room = sum(vals.size for _, vals in columns)
+        pos_all, val_all = np.empty(room, dtype=np.int64), np.empty(room)
+        ptr = np.zeros(len(columns) + 1, dtype=np.int64)
         for j, (rows, vals) in enumerate(columns):
-            rows = np.asarray(rows)
-            vals = np.asarray(vals, dtype=np.float64)
             if rows.ndim != 1 or rows.shape != vals.shape:
                 raise ValueError(f"rows and values of column x{j + 1} differ in length")
             if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
@@ -223,8 +293,12 @@ class SurvivalDataset:
             keep = vals != 0.0
             pos = rank[rows[keep].astype(np.int64, copy=False)]  # [] arrives as float64
             srt = np.argsort(pos, kind="stable")
-            cols.append((pos[srt], vals[keep][srt]))
-        return cls(time, status, SparseColumnMatrix(n, cols))
+            ptr[j + 1] = end = ptr[j] + pos.shape[0]
+            pos_all[ptr[j]:end] = pos[srt]
+            val_all[ptr[j]:end] = vals[keep][srt]
+        if ptr[-1] < room:
+            pos_all, val_all = pos_all[:ptr[-1]].copy(), val_all[:ptr[-1]].copy()
+        return cls(time, status, SparseColumnMatrix.from_csc(n, pos_all, val_all, ptr))
 
     # -- views ------------------------------------------------------------
 

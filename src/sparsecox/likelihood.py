@@ -14,15 +14,101 @@ derivatives are
 Per column the scan touches only the nonzero entries plus the events at or
 after the first nonzero, so an all-zero suffix of a column costs nothing.
 The per-column event offsets come from the dataset's read-only
-``column_scans``, built once per dataset.  Penalty terms are the solver's
-business, never added here.
+``column_scans``, built once per dataset.
+
+``CoxKernels`` gives the whole score vector and Hessian-vector products in
+O(nnz + n) each.  Writing Lambda_i = sum_{e: i <= end_e} 1/D_e, u = X v,
+S_e = sum_{k <= end_e} w_k u_k and C_i = sum_{e: i <= end_e} S_e / D_e^2,
+
+    score = X^T (delta - w * Lambda)
+    H v   = X^T (w * (Lambda * u - C))          (H: Hessian of -ll)
+
+Every reduction is numpy's own, never a BLAS call, so no result depends on
+the BLAS thread count.  Penalty terms are the solver's business, never
+added here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LinearPredictorState"]
+__all__ = ["CoxKernels", "LinearPredictorState"]
+
+
+def eta_limit(n):
+    """Largest |eta| for which a prefix sum of n terms exp(eta) stays finite."""
+    return 700.0 - float(np.log(n + 1.0))
+
+
+class CoxKernels:
+    """Score and Hessian-vector products over one dataset's compressed-column
+    design (module docstring).
+
+    X^T z is taken in dense semantics, stored value minus the column's
+    offset; the vectors z given to it sum to zero in exact arithmetic, so the
+    offset term only removes rounding.  A constant shift of u cancels
+    exactly in Lambda * u - C, so ``times`` uses the stored values, as the
+    linear predictor does.
+    """
+
+    def __init__(self, ds):
+        self.ds = ds
+        self.pos, self.val, ptr = ds.design.csc()
+        self.counts = np.diff(ptr)
+        self._nonempty = self.counts > 0
+        # reduceat gives an empty segment its start element, so empty columns are left out
+        self._starts = ptr[:-1][self._nonempty]
+        offset = ds.design.offset
+        self._offset = offset if offset.any() else None
+        self._rows = np.empty(ds.n)
+
+    def times(self, v):
+        """X v over the stored values, length n."""
+        coef = np.repeat(v, self.counts)
+        coef *= self.val
+        return np.bincount(self.pos, weights=coef, minlength=self.ds.n)
+
+    def transpose_times(self, z):
+        """X^T z, length p."""
+        out = np.zeros(self.ds.p)
+        if self._starts.shape[0]:
+            entries = z[self.pos]
+            entries *= self.val
+            out[self._nonempty] = np.add.reduceat(entries, self._starts)
+        if self._offset is not None:
+            out -= self._offset * z.sum()
+        return out
+
+    def _at_risk(self, per_event):
+        """sum_{e: i <= end_e} per_event[e] for every sorted position i."""
+        acc = np.bincount(self.ds.event_end, weights=per_event, minlength=self.ds.n)
+        rev = acc[::-1]
+        np.cumsum(rev, out=rev)
+        return acc
+
+    def risk_weights(self, denom):
+        """Lambda from the risk-set denominators at the events."""
+        return self._at_risk(1.0 / denom)
+
+    def score(self, w, lam):
+        """Gradient of the log-partial likelihood, given w and Lambda."""
+        r = np.multiply(w, lam, out=self._rows)
+        np.negative(r, out=r)
+        r[self.ds.event_pos] += 1.0
+        return self.transpose_times(r)
+
+    def hvp(self, w, denom, lam, v):
+        """Hessian of -loglik times v, given w, the denominators and Lambda."""
+        u = self.times(v)
+        s = np.multiply(w, u, out=self._rows)
+        np.cumsum(s, out=s)
+        per_event = s[self.ds.event_end]
+        per_event /= denom
+        per_event /= denom
+        z = self._at_risk(per_event)
+        np.subtract(lam * u, z, out=z)
+        z *= w
+        return self.transpose_times(z)
 
 
 class _CoordTrial:
@@ -52,8 +138,7 @@ class LinearPredictorState:
             raise ValueError("non-finite coefficient")
         self.ds = ds
         self.beta = beta
-        # exp must stay finite even after summing n terms into a prefix
-        self.eta_limit = 700.0 - float(np.log(ds.n + 1.0))
+        self.eta_limit = eta_limit(ds.n)
         eta = np.zeros(ds.n)
         for j in np.flatnonzero(beta):
             pos, val = ds.design.columns[j]
@@ -90,12 +175,14 @@ class LinearPredictorState:
         d = self.denom_at_events[ev_lo:]
         r = cum_a[sel] / d
         g1 = sum_delta_x - float(r.sum())
-        g2 = float(np.dot(r, r) - (cum_b[sel] / d).sum())
+        g2 = float((r * r).sum() - (cum_b[sel] / d).sum())
         # exact math gives a per-event variance >= 0; clamp rounding residue
         return g1, min(g2, 0.0)
 
     def full_gradient(self):
-        return np.array([self.coord_derivatives(j)[0] for j in range(self.ds.p)])
+        """g1 of every coordinate, by one score-kernel call."""
+        kernels = CoxKernels(self.ds)
+        return kernels.score(self.w, kernels.risk_weights(self.denom_at_events))
 
     # -- updates ----------------------------------------------------------
 

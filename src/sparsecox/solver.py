@@ -1,4 +1,8 @@
-"""Cyclic coordinate descent for F(beta) = -2*loglik(beta) + sum_j w_j beta_j^2.
+"""Minimizers of F(beta) = -2*loglik(beta) + sum_j w_j beta_j^2: cyclic
+coordinate descent for any weights and frozen set, and a truncated Newton
+solve for the uniform ridge weight xi started at zero.
+
+Coordinate descent.
 
 Each sweep visits every unfrozen coordinate once and applies a single
 Newton step of the restricted objective, written in the stabilized form
@@ -21,6 +25,17 @@ objective trace is therefore non-increasing by construction.
 
 A solve converges when one sweep satisfies both |dF| <= _TOL_OBJ * (1 + |F|)
 and max|d beta_j| <= _TOL_BETA, and gives up after _MAX_SWEEPS sweeps.
+
+Truncated Newton (ridge).  Each iteration solves (2 H + 2 xi I) d = -grad F,
+with H the Hessian of -loglik applied by ``CoxKernels.hvp``, by conjugate
+gradients stopped at the Eisenstat-Walker forcing term (Eisenstat & Walker,
+SIAM J. Sci. Comput. 1996), and backtracks from the full step until the
+Armijo condition holds.  The decrease is computed from the change of the
+linear predictor (log1p of the denominator ratios, as a coordinate probe
+does), so it stays exact where F itself no longer resolves it.  A trial
+with max|eta| above the overflow limit or a non-finite decrease is
+rejected.  The solve converges when ||grad F|| <= _NEWTON_GTOL *
+max(1, ||grad F(0)||) and gives up after _NEWTON_MAX iterations.
 """
 
 from __future__ import annotations
@@ -30,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import LinearPredictorState
+from .likelihood import CoxKernels, LinearPredictorState, eta_limit
 
-__all__ = ["PenaltySpec", "SolverResult", "ccd_minimize"]
+__all__ = ["PenaltySpec", "SolverResult", "ccd_minimize", "newton_ridge"]
 
 
 class PenaltySpec:
@@ -68,9 +83,10 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """One ccd_minimize solve.  ``loglik`` and ``objective`` are recomputed
-    from scratch at exit so they agree with ``beta`` under re-evaluation;
-    ``trace`` is the objective at the start and after every accepted step."""
+    """One solve.  ``loglik`` and ``objective`` are recomputed from scratch
+    at exit so they agree with ``beta`` under re-evaluation; ``trace`` is the
+    objective at the start and after every accepted step; ``sweeps`` counts
+    coordinate sweeps (ccd_minimize) or Newton iterations (newton_ridge)."""
 
     beta: np.ndarray
     loglik: float
@@ -95,6 +111,9 @@ _MAX_STEP = 1.0  # largest first trial step of a coordinate visit
 _MAX_HALVINGS = 30
 _EPS_UNPENALIZED = 1e-12  # curvature guard for w_j = 0 coordinates
 _ROUNDING_ULPS = 4.0  # predicted decreases within this many ulps of |F| end a visit
+_NEWTON_MAX = 100
+_NEWTON_GTOL = 1e-9
+_ARMIJO = 1e-4  # fraction of the directional derivative a step must achieve
 
 
 def _coord_step(b, g1, g2, w_j):
@@ -133,7 +152,7 @@ def ccd_minimize(ds, penalty, beta0):
     beta[penalty.frozen] = 0.0
 
     ll_run = state.loglik()
-    pen_run = float(np.dot(weights[live], beta[live] ** 2))
+    pen_run = float((weights[live] * beta[live] ** 2).sum())
     f_last = -2.0 * ll_run + pen_run
     trace = [f_last]
 
@@ -142,7 +161,7 @@ def ccd_minimize(ds, penalty, beta0):
     for sweep in range(1, _MAX_SWEEPS + 1):
         state.refresh()
         ll_run = state.loglik()
-        pen_run = float(np.dot(weights[live], beta[live] ** 2))
+        pen_run = float((weights[live] * beta[live] ** 2).sum())
         f_sweep_start = f_last
         max_step = 0.0
 
@@ -196,6 +215,97 @@ def ccd_minimize(ds, penalty, beta0):
     # report from a clean re-evaluation so the result is self-consistent
     state.refresh()
     loglik = state.loglik()
-    objective = -2.0 * loglik + float(np.dot(weights[live], beta[live] ** 2))
+    objective = -2.0 * loglik + float((weights[live] * beta[live] ** 2).sum())
     return SolverResult(beta=beta.copy(), loglik=loglik, objective=objective, sweeps=sweep,
                         converged=converged, trace=np.asarray(trace))
+
+
+def _norm(v):
+    return math.sqrt(float((v * v).sum()))
+
+
+def _conjugate_gradients(kernels, w, denom, lam, xi, grad, target):
+    """d with ||(2 H + 2 xi I) d + grad|| <= target, or the last conjugate
+    gradient iterate after p of them."""
+    d = np.zeros_like(grad)
+    r = -grad
+    direction = r.copy()
+    rr = float((r * r).sum())
+    for _ in range(grad.shape[0]):
+        a_dir = kernels.hvp(w, denom, lam, direction)
+        a_dir += xi * direction
+        a_dir *= 2.0
+        curv = float((direction * a_dir).sum())
+        if not curv > 0.0:
+            break
+        alpha = rr / curv
+        d += alpha * direction
+        r -= alpha * a_dir
+        rr_next = float((r * r).sum())
+        if math.sqrt(rr_next) <= target:
+            break
+        direction *= rr_next / rr
+        direction += r
+        rr = rr_next
+    return d
+
+
+def newton_ridge(ds, xi):
+    """Minimize -2*loglik + xi*||beta||^2 from beta = 0 by truncated Newton
+    (module docstring).  Returns a SolverResult whose ``sweeps`` counts
+    Newton iterations; ``converged`` is False when _NEWTON_MAX ran out or no
+    halved step met the Armijo condition."""
+    kernels = CoxKernels(ds)
+    events, ends = ds.event_pos, ds.event_end
+    limit = eta_limit(ds.n)
+    state = LinearPredictorState(ds, np.zeros(ds.p))
+    beta, eta, w, denom = state.beta, state.eta, state.w, state.denom_at_events
+    f = -2.0 * state.loglik()
+    trace = [f]
+    lam = kernels.risk_weights(denom)
+    grad = 2.0 * (xi * beta - kernels.score(w, lam))
+    gnorm = _norm(grad)
+    tol = _NEWTON_GTOL * max(1.0, gnorm)
+    forcing = 0.5
+    converged = gnorm <= tol
+    iteration = 0
+    while not converged and iteration < _NEWTON_MAX:
+        iteration += 1
+        step = _conjugate_gradients(kernels, w, denom, lam, xi, grad,
+                                    max(forcing * gnorm, 0.5 * tol))
+        u = kernels.times(step)
+        slope = float((grad * step).sum())
+        pen_lin, pen_quad = 2.0 * float((beta * step).sum()), float((step * step).sum())
+        t = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            trial_eta = eta + t * u
+            if np.abs(trial_eta).max() <= limit:
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    patch = np.cumsum(w * np.expm1(t * u))[ends]
+                    dll = t * float(u[events].sum()) - float(np.log1p(patch / denom).sum())
+                df = -2.0 * dll + xi * t * (pen_lin + t * pen_quad)
+                if math.isfinite(df) and df <= _ARMIJO * t * slope:
+                    break
+            t *= 0.5
+        else:
+            break  # no halved step decreases F: report the solve unconverged
+        beta += t * step
+        eta, w = trial_eta, np.exp(trial_eta)
+        denom = np.cumsum(w)[ends]
+        f += df
+        trace.append(f)
+        lam = kernels.risk_weights(denom)
+        grad = 2.0 * (xi * beta - kernels.score(w, lam))
+        gnorm, previous = _norm(grad), gnorm
+        converged = gnorm <= tol
+        # Eisenstat-Walker choice 2 (gamma 0.9, alpha 2), safeguarded
+        floor = 0.9 * forcing * forcing
+        forcing = min(0.5, 0.9 * (gnorm / previous) ** 2)
+        if floor > 0.1:
+            forcing = max(forcing, floor)
+
+    state = LinearPredictorState(ds, beta)
+    loglik = state.loglik()
+    objective = -2.0 * loglik + xi * float((beta * beta).sum())
+    return SolverResult(beta=beta.copy(), loglik=loglik, objective=objective,
+                        sweeps=iteration, converged=converged, trace=np.asarray(trace))

@@ -43,27 +43,33 @@ def dense_coord_derivs(time, status, X, beta, j):
     return g1, g2
 
 
-def dense_full_newton_mple(time, status, X, tol=1e-10, max_iter=100):
-    """Unpenalized maximum partial-likelihood estimate by full Newton steps
-    with the dense Hessian (independent of the coordinate-descent path)."""
+def dense_score_and_hessian(time, status, X, beta):
+    """Gradient and Hessian of the log-partial likelihood by brute-force
+    risk-set enumeration."""
     time = np.asarray(time, dtype=float)
     X = np.asarray(X, dtype=float)
     n, p = X.shape
-    beta = np.zeros(p)
+    w = np.exp(X @ np.asarray(beta, dtype=float))
+    grad = np.zeros(p)
+    hess = np.zeros((p, p))
+    for i in range(n):
+        if status[i]:
+            risk = time >= time[i]
+            wr = w[risk]
+            d = wr.sum()
+            xr = X[risk]
+            mean = xr.T @ wr / d
+            grad += X[i] - mean
+            hess -= (xr * wr[:, None]).T @ xr / d - np.outer(mean, mean)
+    return grad, hess
+
+
+def dense_full_newton_mple(time, status, X, tol=1e-10, max_iter=100):
+    """Unpenalized maximum partial-likelihood estimate by full Newton steps
+    with the dense Hessian (independent of the coordinate-descent path)."""
+    beta = np.zeros(np.shape(X)[1])
     for _ in range(max_iter):
-        eta = X @ beta
-        w = np.exp(eta)
-        grad = np.zeros(p)
-        hess = np.zeros((p, p))
-        for i in range(n):
-            if status[i]:
-                risk = time >= time[i]
-                wr = w[risk]
-                d = wr.sum()
-                xr = X[risk]
-                mean = xr.T @ wr / d
-                grad += X[i] - mean
-                hess -= (xr * wr[:, None]).T @ xr / d - np.outer(mean, mean)
+        grad, hess = dense_score_and_hessian(time, status, X, beta)
         step = np.linalg.solve(hess, -grad)
         beta = beta + step
         if np.max(np.abs(step)) < tol:

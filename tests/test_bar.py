@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,51 @@ def test_ridge_shrinks_with_xi(rng):
     b1 = fit_ridge(ds, 1.0)
     b1000 = fit_ridge(ds, 1000.0)
     assert np.linalg.norm(b1000.beta) < np.linalg.norm(b1.beta)
+
+
+def test_bar_selects_the_same_support_from_either_ridge_start(monkeypatch):
+    # the Newton ridge start against the coordinate-descent solve of the
+    # same strictly convex problem, on criterion 1's design
+    newton = []
+    for r in range(10):
+        ds = simulate(replace(desk_scenario(n=1000, p=100), seed=replicate_seed(20260810, r)))
+        newton.append(fit_bar(ds, BarConfig(lambda_rule="bic")))
+    from sparsecox.solver import PenaltySpec, ccd_minimize
+
+    monkeypatch.setattr(bar, "fit_ridge", lambda ds, xi: ccd_minimize(
+        ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p)))
+    for r, fit in enumerate(newton):
+        ds = simulate(replace(desk_scenario(n=1000, p=100), seed=replicate_seed(20260810, r)))
+        ccd = fit_bar(ds, BarConfig(lambda_rule="bic"))
+        np.testing.assert_array_equal(fit.support, ccd.support)
+        assert fit.loglik == pytest.approx(ccd.loglik, rel=1e-8)
+
+
+_THREAD_FIT = """
+import sys
+import numpy as np
+import sparsecox as sc
+rng = np.random.default_rng(1)  # the one-thread and two-thread dot products differ here
+X = rng.standard_normal((12000, 5))
+eta = (X * np.array([0.5, -0.4, 0.0, 0.3, 0.0])).sum(axis=1)
+ds = sc.SurvivalDataset.from_dense(rng.exponential(size=12000) / np.exp(eta), np.ones(12000), X)
+fit = sc.fit_bar(ds, sc.BarConfig(lambda_rule="bic"))
+sys.stdout.write(fit.beta.tobytes().hex() + " " + repr(fit.loglik) + f" {fit.sweeps} {fit.outer_iterations}")
+"""
+
+
+def test_fit_does_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product over its threads above 10,000 elements,
+    # and 12,000 events put every event-tail reduction past that
+    src = str(Path(bar.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_FIT], env=env, capture_output=True,
+                              text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # -- BAR outer loop --------------------------------------------------------

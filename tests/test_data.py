@@ -402,6 +402,15 @@ MALFORMED = {  # case: (build, the ValueError's message)
     "scale of another length": (lambda: SparseColumnMatrix(3, [column([1], [1.0])],
                                                            scale=np.ones(2)),
                                 "one entry per column"),
+    # a compressed-column store is checked whole, then by column to name the culprit
+    "store: unsorted second column": (lambda: SparseColumnMatrix.from_csc(
+        3, *column([2, 2, 1], [1.0, 1.0, 1.0]), np.array([0, 1, 3])), REPEAT),
+    "store: stored zero": (lambda: SparseColumnMatrix.from_csc(
+        3, *column([2, 0], [1.0, 0.0]), np.array([0, 1, 2])), "stored zero value in column x2"),
+    "store: position n": (lambda: SparseColumnMatrix.from_csc(
+        3, *column([0, 3], [1.0, 1.0]), np.array([0, 1, 2])), REPEAT),
+    "store: pointers past nnz": (lambda: SparseColumnMatrix.from_csc(
+        3, *column([0], [1.0]), np.array([0, 2])), "column pointers"),
 }
 
 

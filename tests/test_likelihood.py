@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparsecox import LinearPredictorState, SurvivalDataset
+from sparsecox import LinearPredictorState, SurvivalDataset, standardize
+from sparsecox.likelihood import CoxKernels
 
-from conftest import check_dataset, dense_loglik, dense_coord_derivs, make_dataset
+from conftest import (check_dataset, dense_coord_derivs, dense_loglik, dense_score_and_hessian,
+                      make_dataset)
 
 
 def two_subject_dataset():
@@ -170,8 +173,9 @@ def test_full_gradient(rng):
     beta = rng.uniform(-0.5, 0.5, size=4)
     st = LinearPredictorState(ds, beta)
     g = st.full_gradient()
+    # one whole-vector kernel call: the same sums in another order
     for j in range(4):
-        assert g[j] == st.coord_derivatives(j)[0]
+        assert g[j] == pytest.approx(st.coord_derivatives(j)[0], rel=1e-12, abs=1e-12)
     dsz = SurvivalDataset.from_dense(t, status, np.zeros((25, 3)))
     np.testing.assert_array_equal(LinearPredictorState(dsz, np.zeros(3)).full_gradient(), np.zeros(3))
 
@@ -195,3 +199,91 @@ def test_scan_memo_is_per_dataset(rng):
     for j in range(3):
         np.testing.assert_allclose(got.coord_derivatives(j), fresh.coord_derivatives(j),
                                    rtol=0, atol=1e-12)
+
+
+# -- whole-vector kernels ----------------------------------------------------
+
+
+def kernel_score(ds, beta):
+    st_ = LinearPredictorState(ds, beta)
+    kernels = CoxKernels(ds)
+    return kernels.score(st_.w, kernels.risk_weights(st_.denom_at_events))
+
+
+def kernel_hvp(ds, beta, v):
+    st_ = LinearPredictorState(ds, beta)
+    kernels = CoxKernels(ds)
+    lam = kernels.risk_weights(st_.denom_at_events)
+    return kernels.hvp(st_.w, st_.denom_at_events, lam, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    times=st.lists(st.integers(1, 4), min_size=1, max_size=12),  # few values: many ties
+    data=st.data(),
+    p=st.integers(0, 4),
+    events=st.sampled_from(["random", "one", "none"]),
+    duplicate=st.booleans(),
+    center=st.booleans(),
+)
+def test_score_kernel_matches_coord_derivatives(times, data, p, events, duplicate, center):
+    n = len(times)
+    t = np.asarray(times, dtype=float)
+    status = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if events != "random":
+        status[:] = 0
+        if events == "one":
+            status[data.draw(st.integers(0, n - 1))] = 1
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.5])  # mostly zeros: empty columns
+    X = np.asarray(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                                      min_size=n, max_size=n)), dtype=float).reshape(n, p)
+    if duplicate and p >= 2:
+        X[:, 1] = X[:, 0]
+    ds = SurvivalDataset.from_dense(t, status, X)
+    if center and n >= 2:  # no column may be constant, so rows 0 and 1 differ
+        X[0], X[1] = 1.5, -1.0
+        ds = standardize(SurvivalDataset.from_dense(t, status, X), "center-and-scale")
+    beta = np.asarray(data.draw(st.lists(st.floats(-1, 1, allow_subnormal=False),
+                                         min_size=p, max_size=p)))
+    got = kernel_score(ds, beta)
+    assert got.shape == (p,)
+    state = LinearPredictorState(ds, beta)
+    for j in range(p):
+        g1 = state.coord_derivatives(j)[0]
+        assert got[j] == pytest.approx(g1, rel=1e-10, abs=1e-10)
+        if ds.design.nnz(j) == 0:
+            assert got[j] == 0.0
+
+
+def test_hvp_matches_finite_differences_of_the_score(rng):
+    h = 1e-6
+    for _ in range(25):
+        n = int(rng.integers(4, 50))
+        p = int(rng.integers(1, 6))
+        ds, _ = make_dataset(rng, n, p)
+        if rng.random() < 0.5:
+            ds = standardize(ds, "center-and-scale")
+        beta = rng.uniform(-1, 1, size=p)
+        v = rng.standard_normal(p)
+        fd = (kernel_score(ds, beta - h * v) - kernel_score(ds, beta + h * v)) / (2 * h)
+        np.testing.assert_allclose(kernel_hvp(ds, beta, v), fd, rtol=1e-5,
+                                   atol=1e-6 * (1.0 + np.abs(fd).max()))
+
+
+def test_hvp_matches_dense_hessian(rng):
+    for _ in range(20):
+        n = int(rng.integers(3, 40))
+        p = int(rng.integers(1, 6))
+        ds, (t, status, X) = make_dataset(rng, n, p)
+        X[rng.random(X.shape) < 0.3] = 0.0  # sparse columns, some of them empty
+        X[:, -1] = 0.0
+        ds = SurvivalDataset.from_dense(t, status, X)
+        beta = rng.uniform(-1, 1, size=p)
+        grad, hess = dense_score_and_hessian(t, status, X, beta)
+        np.testing.assert_allclose(kernel_score(ds, beta), grad, rtol=1e-10, atol=1e-10)
+        for v in np.eye(p).tolist() + [rng.standard_normal(p).tolist()]:
+            v = np.asarray(v)
+            np.testing.assert_allclose(kernel_hvp(ds, beta, v), -hess @ v, rtol=1e-10,
+                                       atol=1e-10)
+    empty = SurvivalDataset.from_dense([1.0, 2.0], [1, 1], np.zeros((2, 0)))
+    assert kernel_hvp(empty, np.zeros(0), np.zeros(0)).shape == (0,)

@@ -18,7 +18,8 @@ from sparsecox import (
 )
 from sparsecox import solver
 from sparsecox.sim import replicate_seed
-from sparsecox.solver import _coord_step
+from sparsecox.likelihood import CoxKernels
+from sparsecox.solver import _coord_step, newton_ridge
 
 from conftest import dense_loglik, make_dataset
 
@@ -268,3 +269,77 @@ def test_overflow_and_nonfinite_trials_keep_halving(monkeypatch):
 def test_overflow_on_every_halving_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="non-finite objective"):
         _scripted_fit(monkeypatch, [])
+
+
+# -- newton_ridge ----------------------------------------------------------
+
+
+def newton_datasets(rng):
+    for n, p, xi in ((40, 1, 0.1), (60, 4, 1.0), (80, 6, 0.01), (120, 8, 10.0), (30, 12, 1.0)):
+        yield make_dataset(rng, n, p, beta_scale=0.8)[0], xi
+    desk = SimScenario(n=300, p=30, beta0=[0.2, 0, 0.35, 0, 0.5, 0.55, 0, 0, 0.7, 0.8],
+                       design="ar1:0.5", censoring=0.2, seed=replicate_seed(20260811, 0))
+    yield simulate(desk), 1.0
+    sparse = SimScenario(n=2000, p=60, beta0=np.repeat([0.7, -0.5, 1.0], 4),
+                         design="binary:0.95", censoring=0.9, seed=3)
+    yield simulate(sparse), 1.0
+
+
+def test_newton_ridge_matches_coordinate_descent(rng):
+    for ds, xi in newton_datasets(rng):
+        newton = newton_ridge(ds, xi)
+        ccd = ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p))
+        assert newton.converged and ccd.converged
+        assert newton.objective <= ccd.objective + 4 * math.ulp(ccd.objective)
+        assert np.max(np.abs(newton.beta - ccd.beta)) <= 1e-5
+        assert np.all(np.diff(newton.trace) <= 0.0)
+        assert newton.trace[0] == -2.0 * LinearPredictorState(ds, np.zeros(ds.p)).loglik()
+        ll = LinearPredictorState(ds, newton.beta).loglik()
+        assert newton.loglik == ll
+        assert newton.objective == -2.0 * ll + xi * float((newton.beta ** 2).sum())
+
+
+def test_newton_ridge_stops_on_the_gradient_norm(rng):
+    ds, _ = make_dataset(rng, 80, 5, beta_scale=0.8)
+    fit = newton_ridge(ds, 0.5)
+    kernels = CoxKernels(ds)
+    st_ = LinearPredictorState(ds, fit.beta)
+    grad = 2.0 * (0.5 * fit.beta - kernels.score(st_.w, kernels.risk_weights(st_.denom_at_events)))
+    start = 2.0 * np.linalg.norm(kernels.score(np.ones(ds.n), kernels.risk_weights(
+        np.cumsum(np.ones(ds.n))[ds.event_end])))
+    assert fit.converged and 1 <= fit.sweeps < solver._NEWTON_MAX
+    assert np.linalg.norm(grad) <= 2 * solver._NEWTON_GTOL * max(1.0, start)
+
+
+def test_newton_ridge_zero_design_and_no_columns():
+    for X in (np.zeros((3, 2)), np.zeros((3, 0))):
+        ds = SurvivalDataset.from_dense([1.0, 2.0, 3.0], [1, 0, 1], X)
+        fit = newton_ridge(ds, 1.0)
+        assert fit.converged and fit.sweeps == 0
+        np.testing.assert_array_equal(fit.beta, np.zeros(X.shape[1]))
+        assert fit.trace.shape == (1,) and fit.objective == fit.trace[0]
+
+
+def test_newton_ridge_rejects_steps_past_the_overflow_limit(rng, monkeypatch):
+    ds, _ = make_dataset(rng, 60, 3, beta_scale=1.5)
+    free = newton_ridge(ds, 0.01)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_NEWTON_MAX", 1)
+        first = newton_ridge(ds, 0.01)
+    # the first full step reaches |eta| = reach; cap eta well below it
+    reach = np.abs(LinearPredictorState(ds, first.beta).eta).max()
+    limit = 0.25 * reach
+    monkeypatch.setattr(solver, "eta_limit", lambda n: limit)
+    fit = newton_ridge(ds, 0.01)
+    assert np.all(np.isfinite(fit.beta)) and np.isfinite(fit.objective)
+    assert np.abs(LinearPredictorState(ds, fit.beta).eta).max() <= limit * (1 + 1e-12)
+    assert np.all(np.diff(fit.trace) <= 0.0)
+    assert fit.objective > free.objective  # the optimum lies past the limit
+
+
+def test_newton_ridge_iteration_cap_flags_nonconvergence(rng, monkeypatch):
+    ds, _ = make_dataset(rng, 60, 4, beta_scale=0.8)
+    monkeypatch.setattr(solver, "_NEWTON_MAX", 1)
+    fit = newton_ridge(ds, 0.1)
+    assert not fit.converged and fit.sweeps == 1
+    assert fit.trace.shape == (2,) and fit.trace[1] < fit.trace[0]
