@@ -3,12 +3,12 @@
 Subjects are kept internally in descending-time order so that every risk set
 {j : T_j >= T_i} is a contiguous prefix of the sorted arrays.  Ties are
 ordered events-before-censorings (stable by input index), and tied event
-times share one risk set per the Breslow convention.  Design columns are
-stored as (position, value) pairs in that same order, which is what the
-coordinate-descent kernels scan, and as one compressed-column triple, which
-the whole-vector kernels read.  The constructors refuse malformed input
-with ValueError, so every dataset that exists is valid, and every array a
-dataset holds is read-only.
+times share one risk set per the Breslow convention.  The design is stored
+in that same order as one compressed-column triple (pos, val, ptr), which
+the whole-vector kernels read; each column's (position, value) pair, which
+the coordinate-descent kernels scan, is a view of it.  The constructors
+refuse malformed input with ValueError, so every dataset that exists is
+valid, and every array a dataset holds is read-only.
 """
 
 from __future__ import annotations
@@ -62,11 +62,6 @@ def _sort_order(time, status):
 
 def _check_column(n, j, pos, val):
     """Raise ValueError unless (pos, val) is a valid column j of an n-row matrix."""
-    if not (isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.ndim == 1
-            and isinstance(val, np.ndarray) and val.dtype == np.float64
-            and val.shape == pos.shape):
-        raise ValueError(f"column x{j + 1} is not an int64 position array and a float64 "
-                         "value array of one length")
     if pos.shape[0] and (pos[0] < 0 or pos[-1] >= n or np.any(pos[1:] <= pos[:-1])):
         raise ValueError(f"positions of column x{j + 1} repeat, are out of order or fall "
                          f"outside [0, {n})")
@@ -79,10 +74,6 @@ def _check_column(n, j, pos, val):
 def _store_is_valid(n, pos, val, ptr):
     """Whether every column of a compressed-column store would pass
     _check_column, tested on the whole arrays at once."""
-    if not (isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.ndim == 1
-            and isinstance(val, np.ndarray) and val.dtype == np.float64
-            and val.shape == pos.shape):
-        return False
     if not pos.shape[0]:
         return True
     rising = pos[1:] > pos[:-1]
@@ -93,31 +84,36 @@ def _store_is_valid(n, pos, val, ptr):
 
 
 class SparseColumnMatrix:
-    """Column-oriented sparse n-by-p matrix, p = len(columns).
+    """Column-oriented sparse n-by-p matrix held as one compressed-column
+    store: column j's stored entries are ``pos[ptr[j]:ptr[j+1]]`` and
+    ``val[ptr[j]:ptr[j+1]]``, p = len(ptr) - 1.
 
-    ``columns[j]`` is the pair (pos, val) of column j's stored entries: int64
-    positions strictly increasing in [0, n) and float64 values, finite and
-    nonzero; anything else raises ValueError.  Inside a dataset, position k
-    is the subject at sorted position k of its (time, status).  The dense
-    value of entry (k, j) is ``stored - offset[j]``: centering is carried as
-    a per-column offset so that standardization never densifies the storage.
+    ``pos`` holds int64 positions, strictly increasing in [0, n) within a
+    column, ``val`` float64 values, finite and nonzero, and ``ptr`` int64
+    column pointers running from 0 to nnz without decreasing; anything else
+    raises ValueError.  ``columns[j]`` is the pair (pos, val) of column j, as
+    views of the store.  Inside a dataset, position k is the subject at
+    sorted position k of its (time, status).  The dense value of entry
+    (k, j) is ``stored - offset[j]``: centering is carried as a per-column
+    offset so that standardization never densifies the storage.
     ``scale[j]`` maps standardized coefficients back to the original
     covariate scale (beta_original = beta_stored / scale).  The matrix makes
-    the arrays it is given read-only.  ``csc()`` gives every column at once
-    as one compressed-column triple.
+    the arrays it is given read-only.
     """
 
-    def __init__(self, n, columns, scale=None, offset=None, standardization=MODE_NONE):
-        self._assign(n, columns, scale, offset, standardization)
-        for j, (pos, val) in enumerate(self.columns):
-            _check_column(self.n, j, pos, val)
-        _frozen(*(a for pair in self.columns for a in pair))
-        self._csc = None
-
-    def _assign(self, n, columns, scale, offset, standardization):
-        self.n = int(n)
-        self.columns = tuple(columns)
-        self.p = p = len(self.columns)
+    def __init__(self, n, pos, val, ptr, scale=None, offset=None, standardization=MODE_NONE):
+        if not (isinstance(pos, np.ndarray) and pos.dtype == np.int64 and pos.ndim == 1
+                and isinstance(val, np.ndarray) and val.dtype == np.float64
+                and val.shape == pos.shape):
+            raise ValueError("the store is not an int64 position array and a float64 value "
+                             "array of one length")
+        if not (isinstance(ptr, np.ndarray) and ptr.ndim == 1 and ptr.dtype == np.int64):
+            raise ValueError("column pointers must be a one-dimensional int64 array")
+        if not (ptr.shape[0] and ptr[0] == 0 and ptr[-1] == pos.shape[0]
+                and np.all(ptr[1:] >= ptr[:-1])):
+            raise ValueError("column pointers must run from 0 to nnz without decreasing")
+        self.n = n = int(n)
+        self.p = p = ptr.shape[0] - 1
         self.scale = np.ones(p) if scale is None else scale
         self.offset = np.zeros(p) if offset is None else offset
         if self.scale.shape != (p,) or self.offset.shape != (p,):
@@ -125,54 +121,25 @@ class SparseColumnMatrix:
         if standardization not in _MODES:
             raise ValueError(f"unknown standardization mode {standardization!r}")
         self.standardization = standardization
-        _frozen(self.scale, self.offset)
-
-    @classmethod
-    def from_csc(cls, n, pos, val, ptr, scale=None, offset=None, standardization=MODE_NONE):
-        """The matrix whose column j is (pos[ptr[j]:ptr[j+1]], val[ptr[j]:ptr[j+1]]):
-        its columns are views of the three arrays, which it keeps as its store
-        and makes read-only.  The store is checked as a whole; a column is
-        checked alone only to name the one that fails."""
-        if not (val.shape == pos.shape and ptr.ndim == 1 and ptr.shape[0] and ptr[0] == 0
-                and ptr[-1] == pos.shape[0] and np.all(ptr[1:] >= ptr[:-1])):
-            raise ValueError("column pointers must run from 0 to nnz without decreasing, "
-                             "over positions and values of one length")
-        _frozen(pos, val, ptr)
+        self.pos, self.val, self.ptr = pos, val, ptr
+        _frozen(pos, val, ptr, self.scale, self.offset)
         bounds = ptr.tolist()
-        matrix = cls.__new__(cls)
-        matrix._assign(n, [(pos[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:])],
-                       scale, offset, standardization)
-        if not _store_is_valid(matrix.n, pos, val, ptr):
-            for j, (col_pos, col_val) in enumerate(matrix.columns):
-                _check_column(matrix.n, j, col_pos, col_val)
-        matrix._csc = (pos, val, ptr)
-        return matrix
+        self.columns = tuple((pos[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+        if not _store_is_valid(n, pos, val, ptr):
+            for j, (col_pos, col_val) in enumerate(self.columns):
+                _check_column(n, j, col_pos, col_val)
 
-    def __reduce__(self):  # a pickled copy is rebuilt, so checked and frozen, by from_csc
-        return type(self).from_csc, (self.n, *self.csc(), self.scale, self.offset,
-                                     self.standardization)
-
-    def csc(self):
-        """(pos, val, ptr): every column's entries in one compressed-column
-        triple, column j at [ptr[j], ptr[j+1]).  A matrix built by from_csc
-        holds it as its store; any other builds it on the first call and
-        keeps it, one copy of the store."""
-        if self._csc is None:
-            ptr = np.zeros(self.p + 1, dtype=np.int64)
-            np.cumsum([pos.shape[0] for pos, _ in self.columns], out=ptr[1:])
-            pos = np.concatenate([pos for pos, _ in self.columns] or [np.zeros(0, np.int64)])
-            val = np.concatenate([val for _, val in self.columns] or [np.zeros(0)])
-            _frozen(pos, val, ptr)
-            self._csc = (pos, val, ptr)
-        return self._csc
+    def __reduce__(self):  # a pickled copy is rebuilt, so checked and frozen, by the constructor
+        return type(self), (self.n, self.pos, self.val, self.ptr, self.scale, self.offset,
+                            self.standardization)
 
     def column(self, j):
         return self.columns[j]
 
     def nnz(self, j=None):
         if j is None:
-            return sum(pos.shape[0] for pos, _ in self.columns)
-        return self.columns[j][0].shape[0]
+            return int(self.ptr[-1])
+        return int(self.ptr[j + 1] - self.ptr[j])
 
     def dense_column(self, j):
         """Materialize column j (dense semantics, length n)."""
@@ -182,6 +149,28 @@ class SparseColumnMatrix:
         if self.offset[j] != 0.0:
             out -= self.offset[j]
         return out
+
+
+def _entry_design(order, p, rows, cols, vals):
+    """The design whose entry (rows[k], cols[k]) is vals[k], for int64
+    input-order rows and columns already in range: one sort on
+    col * n + rank[row] gives every column's positions in sorted order.
+    Zero values are not stored; a (row, column) pair given twice raises
+    ValueError, whatever its values."""
+    n = order.shape[0]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    key = cols * n + rank[rows]
+    srt = np.argsort(key, kind="stable")
+    key = key[srt]
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        raise ValueError(f"duplicate (row, col) entry in column x{key[repeated[0]] // n + 1}")
+    val = vals[srt]
+    keep = val != 0.0
+    key, val = key[keep], val[keep]
+    ptr = np.searchsorted(key, np.arange(p + 1) * n)
+    return SparseColumnMatrix(n, key % n, val, ptr)
 
 
 class SurvivalDataset:
@@ -268,7 +257,7 @@ class SurvivalDataset:
             nz = np.flatnonzero(block)
             pos[ptr[lo]:ptr[hi]] = nz % n
             val[ptr[lo]:ptr[hi]] = block.ravel()[nz]
-        return cls(time, status, SparseColumnMatrix.from_csc(n, pos, val, ptr))
+        return cls(time, status, SparseColumnMatrix(n, pos, val, ptr))
 
     @classmethod
     def from_columns(cls, time, status, columns):
@@ -277,50 +266,44 @@ class SurvivalDataset:
         stored; a repeated row raises ValueError."""
         order = _sort_order(time, status)
         n = order.shape[0]
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
         columns = [(np.asarray(rows), np.asarray(vals, dtype=np.float64))
                    for rows, vals in columns]
-        # room for every given entry; the zero values dropped below shorten it
-        room = sum(vals.size for _, vals in columns)
-        pos_all, val_all = np.empty(room, dtype=np.int64), np.empty(room)
-        ptr = np.zeros(len(columns) + 1, dtype=np.int64)
         for j, (rows, vals) in enumerate(columns):
             if rows.ndim != 1 or rows.shape != vals.shape:
                 raise ValueError(f"rows and values of column x{j + 1} differ in length")
             if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
                 raise ValueError(f"row indices of column x{j + 1} are not integers in [0, {n})")
-            keep = vals != 0.0
-            pos = rank[rows[keep].astype(np.int64, copy=False)]  # [] arrives as float64
-            srt = np.argsort(pos, kind="stable")
-            ptr[j + 1] = end = ptr[j] + pos.shape[0]
-            pos_all[ptr[j]:end] = pos[srt]
-            val_all[ptr[j]:end] = vals[keep][srt]
-        if ptr[-1] < room:
-            pos_all, val_all = pos_all[:ptr[-1]].copy(), val_all[:ptr[-1]].copy()
-        return cls(time, status, SparseColumnMatrix.from_csc(n, pos_all, val_all, ptr))
+        rows = np.concatenate([np.zeros(0, dtype=np.int64)]  # [] arrives as float64
+                              + [rows.astype(np.int64, copy=False) for rows, _ in columns])
+        vals = np.concatenate([np.zeros(0)] + [vals for _, vals in columns])
+        cols = np.repeat(np.arange(len(columns)), [vals.size for _, vals in columns])
+        return cls(time, status, _entry_design(order, len(columns), rows, cols, vals))
 
     # -- views ------------------------------------------------------------
 
     def select_columns(self, indices):
-        """Column-subset dataset sharing the column arrays (no copies of column data)."""
+        """Dataset of the given columns of this one, in the given order
+        (repeats allowed): their entries are copied into one new store."""
         indices = np.asarray(indices, dtype=np.int64)
-        design = SparseColumnMatrix(
-            self.n,
-            [self.design.columns[int(j)] for j in indices],
-            scale=self.design.scale[indices],
-            offset=self.design.offset[indices],
-            standardization=self.design.standardization,
-        )
+        if indices.ndim != 1 or indices.size and (indices.min() < 0 or indices.max() >= self.p):
+            raise ValueError(f"column indices must be a list of integers in [0, {self.p})")
+        d = self.design
+        counts = np.diff(d.ptr)[indices]
+        ptr = np.zeros(indices.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        take = np.arange(ptr[-1]) + np.repeat(d.ptr[indices] - ptr[:-1], counts)
+        design = SparseColumnMatrix(self.n, d.pos[take], d.val[take], ptr,
+                                    scale=d.scale[indices], offset=d.offset[indices],
+                                    standardization=d.standardization)
         return SurvivalDataset(self.time, self.status, design)
 
     def dense_design_original_order(self):
         """Dense design with rows in the original input order (small data only),
         filled in one n-by-p array."""
+        d = self.design
         X = np.zeros((self.n, self.p))
-        for j, (pos, val) in enumerate(self.design.columns):
-            X[self.order[pos], j] = val
-        X -= self.design.offset  # exact where the offset is 0
+        X[self.order[d.pos], np.repeat(np.arange(self.p), np.diff(d.ptr))] = d.val
+        X -= d.offset  # exact where the offset is 0
         return X
 
 
@@ -346,11 +329,10 @@ def standardize(ds, mode):
     if ds.n < 2:
         raise ValueError("standardization requires n >= 2")
 
-    n, p = ds.n, ds.p
-    cols = []
+    n, p, d = ds.n, ds.p, ds.design
     scale = np.ones(p)
     offset = np.zeros(p)
-    for j, (pos, val) in enumerate(ds.design.columns):
+    for j, (pos, val) in enumerate(d.columns):
         s1 = float(val.sum())
         s2 = float(np.dot(val, val))
         if mode == MODE_CENTER_SCALE:
@@ -358,18 +340,14 @@ def standardize(ds, mode):
             var = (s2 - n * mean * mean) / (n - 1)
             if var <= 0.0:
                 raise ValueError(f"constant column x{j + 1} cannot be centered and scaled")
-            s = float(np.sqrt(var))
-            cols.append((pos, val / s))
-            scale[j] = s
+            scale[j] = s = float(np.sqrt(var))
             offset[j] = mean / s
-        else:  # scale-only
+        else:  # scale-only; a column whose root mean square is 0 keeps scale 1
             rms = float(np.sqrt(s2 / n))
-            if rms == 0.0:
-                cols.append((pos, val))
-                continue
-            cols.append((pos, val / rms))
-            scale[j] = rms
-    design = SparseColumnMatrix(n, cols, scale=scale, offset=offset, standardization=mode)
+            if rms != 0.0:
+                scale[j] = rms
+    design = SparseColumnMatrix(n, d.pos, d.val / np.repeat(scale, np.diff(d.ptr)), d.ptr,
+                                scale=scale, offset=offset, standardization=mode)
     return SurvivalDataset(ds.time, ds.status, design)
 
 
@@ -574,18 +552,11 @@ def load_dataset(survival_file, design_file, format):
     with open(design_file, "rt", encoding="utf-8") as fh:
         p, nnz = _coord_header(fh, design_file, n)
         rows, cols, vals = _coord_body(fh, design_file, n, p, nnz)
-    key = cols * n + rows
-    srt = np.argsort(key, kind="stable")
-    key = key[srt]
-    if np.any(key[1:] == key[:-1]):
-        raise ValueError(f"{design_file}: duplicate (row, col) entry")
-    col_lists = []
-    rows, cols, vals = rows[srt], cols[srt], vals[srt]
-    bounds = np.searchsorted(cols, np.arange(p + 1))
-    for j in range(p):
-        lo, hi = bounds[j], bounds[j + 1]
-        col_lists.append((rows[lo:hi], vals[lo:hi]))
-    return SurvivalDataset.from_columns(time, status, col_lists)
+    try:
+        design = _entry_design(_sort_order(time, status), p, rows, cols, vals)
+    except ValueError as exc:
+        raise ValueError(f"{design_file}: {exc}") from None
+    return SurvivalDataset(time, status, design)
 
 
 def save_dataset(ds, survival_file, design_file, format):

@@ -53,7 +53,7 @@ class CoxKernels:
 
     def __init__(self, ds):
         self.ds = ds
-        self.pos, self.val, ptr = ds.design.csc()
+        self.pos, self.val, ptr = ds.design.pos, ds.design.val, ds.design.ptr
         self.counts = np.diff(ptr)
         self._nonempty = self.counts > 0
         # reduceat gives an empty segment its start element, so empty columns are left out

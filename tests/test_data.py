@@ -56,6 +56,21 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_one_store(design):
+    """Every column is a view of the design's one store, at its pointer, and
+    the columns laid end to end are exactly that store."""
+    pos, val, ptr = design.pos, design.val, design.ptr
+    columns = design.columns
+    assert same_bytes(ptr, np.cumsum([0] + [c.shape[0] for c, _ in columns], dtype=np.int64))
+    assert same_bytes(pos, np.concatenate([np.zeros(0, np.int64)] + [c for c, _ in columns]))
+    assert same_bytes(val, np.concatenate([np.zeros(0)] + [v for _, v in columns]))
+    for (c, v), start in zip(columns, ptr.tolist()):
+        assert not (c.flags.owndata or v.flags.owndata)
+        if c.shape[0]:  # numpy may leave an empty view's address at its base's
+            assert c.ctypes.data == pos.ctypes.data + 8 * start
+            assert v.ctypes.data == val.ctypes.data + 8 * start
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     times=st.lists(st.integers(1, 4), min_size=1, max_size=12),  # few values: many ties
@@ -79,11 +94,36 @@ def test_builders_agree_and_subject_order_does_not_matter(times, data, p, all_ce
     # rows shuffled per column, stored zeros included: from_columns drops them
     shuffles = [np.array(data.draw(st.permutations(range(n))), dtype=np.int64) for _ in range(p)]
     coord = SurvivalDataset.from_columns(t, status, [(r, X[r, j]) for j, r in enumerate(shuffles)])
-    assert same_bytes(dense.order, coord.order)
-    assert same_bytes(dense.event_end, coord.event_end)
-    for (a_pos, a_val), (b_pos, b_val) in zip(dense.design.columns, coord.design.columns,
-                                              strict=True):
-        assert same_bytes(a_pos, b_pos) and same_bytes(a_val, b_val)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp) / "s.csv", Path(tmp) / "x.coord"
+        save_dataset(dense, *files, FORMAT_SPARSE)
+        loaded = load_dataset(*files, FORMAT_SPARSE)
+    for built in (coord, loaded):
+        assert same_bytes(dense.order, built.order)
+        assert same_bytes(dense.event_end, built.event_end)
+        for a, b in zip((dense.design.pos, dense.design.val, dense.design.ptr),
+                        (built.design.pos, built.design.val, built.design.ptr)):
+            assert same_bytes(a, b)
+        for (a_pos, a_val), (b_pos, b_val) in zip(dense.design.columns, built.design.columns,
+                                                  strict=True):
+            assert same_bytes(a_pos, b_pos) and same_bytes(a_val, b_val)
+
+    # subsets (repeats included) and both standardizations keep one store each
+    chosen = data.draw(st.lists(st.integers(0, p - 1), max_size=6)) if p else []
+    derived = [dense.select_columns(chosen)]
+    for mode in ("scale-only", "center-and-scale"):
+        try:
+            derived.append(standardize(dense, mode))
+        except ValueError as exc:  # n = 1, or an empty or constant column
+            assert n < 2 or "constant column" in str(exc)
+        else:
+            assert derived[-1].design.pos is dense.design.pos
+            assert derived[-1].design.ptr is dense.design.ptr
+    for (pos, val), j in zip(derived[0].design.columns, chosen, strict=True):
+        assert same_bytes(pos, dense.design.columns[j][0])
+        assert same_bytes(val, dense.design.columns[j][1])
+    for built in [dense, coord, loaded] + derived:
+        assert_one_store(built.design)
 
     # the likelihood does not depend on the order the subjects come in
     perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
@@ -172,9 +212,12 @@ def test_duplicate_sparse_entry_rejected(tmp_path):
     surv = tmp_path / "s.csv"
     des = tmp_path / "x.coord"
     write_survival(surv, [(1.0, 1), (2.0, 1)])
-    des.write_text("2 2 2\n1 1 1.0\n1 1 2.0\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        load_dataset(surv, des, FORMAT_SPARSE)
+    for body in ("1 1 1.0\n1 1 2.0\n", "2 2 0.0\n1 2 1.0\n2 2 2.0\n"):
+        des.write_text(f"2 2 {body.count(chr(10))}\n{body}")
+        column = body.split()[1]
+        with pytest.raises(ValueError, match=rf"x\.coord: duplicate \(row, col\) entry in "
+                                             rf"column x{column}$"):
+            load_dataset(surv, des, FORMAT_SPARSE)
 
 
 
@@ -361,56 +404,67 @@ def column(pos, val):
     return np.array(pos, dtype=np.int64), np.array(val, dtype=np.float64)
 
 
+def matrix(n, *columns, **kwargs):
+    """The SparseColumnMatrix of the given (positions, values) columns, in one store."""
+    ptr = np.cumsum([0] + [len(pos) for pos, _ in columns], dtype=np.int64)
+    pos = np.array([k for pos, _ in columns for k in pos], dtype=np.int64)
+    val = np.array([v for _, val in columns for v in val], dtype=np.float64)
+    return SparseColumnMatrix(n, pos, val, ptr, **kwargs)
+
+
 T2, D2 = [1.0, 2.0], [1, 1]
 REPEAT = "repeat, are out of order or fall outside"
+DUPLICATE = "duplicate (row, col) entry in column x1"
+TWO_COLUMNS = SurvivalDataset.from_columns(T2, D2, [([0], [1.0]), ([1], [2.0])])
 MALFORMED = {  # case: (build, the ValueError's message)
-    "time zero": (lambda: SurvivalDataset([0.0, 1.0], D2, SparseColumnMatrix(2, [])),
+    "time zero": (lambda: SurvivalDataset([0.0, 1.0], D2, matrix(2)),
                   "nonpositive or non-finite time for subject 1"),
-    "time nan": (lambda: SurvivalDataset([np.nan, 1.0], D2, SparseColumnMatrix(2, [])),
+    "time nan": (lambda: SurvivalDataset([np.nan, 1.0], D2, matrix(2)),
                  "nonpositive or non-finite time for subject 1"),
-    "status 2": (lambda: SurvivalDataset(T2, [1, 2], SparseColumnMatrix(2, [])),
+    "status 2": (lambda: SurvivalDataset(T2, [1, 2], matrix(2)),
                  "status outside {0,1} for subject 2"),
-    "time and status lengths": (lambda: SurvivalDataset(T2, [1], SparseColumnMatrix(2, [])),
-                                "of one length"),
-    "no subjects": (lambda: SurvivalDataset([], [], SparseColumnMatrix(0, [])), "empty"),
-    "design rows": (lambda: SurvivalDataset(T2, D2, SparseColumnMatrix(3, [])),
-                    "one row per subject"),
+    "time and status lengths": (lambda: SurvivalDataset(T2, [1], matrix(2)), "of one length"),
+    "no subjects": (lambda: SurvivalDataset([], [], matrix(0)), "empty"),
+    "design rows": (lambda: SurvivalDataset(T2, D2, matrix(3)), "one row per subject"),
     "row -1": (lambda: SurvivalDataset.from_columns(T2, D2, [([-1], [1.0])]),
                "not integers in [0, 2)"),
     "fractional rows": (lambda: SurvivalDataset.from_columns(T2, D2, [([0.7, 1.2], [1.0, 2.0])]),
                         "not integers in [0, 2)"),
     "duplicate row": (lambda: SurvivalDataset.from_columns(T2, D2, [([1, 1], [1.0, 2.0])]),
-                      REPEAT),
+                      DUPLICATE),
+    "duplicate row, one of them zero": (
+        lambda: SurvivalDataset.from_columns(T2, D2, [([1, 1], [0.0, 2.0])]), DUPLICATE),
     "row 5 at n=2": (lambda: SurvivalDataset.from_columns(T2, D2, [([5], [1.0])]),
                      "not integers in [0, 2)"),
     "rows and values lengths": (lambda: SurvivalDataset.from_columns(T2, D2, [([0, 1], [1.0])]),
                                 "differ in length"),
     "dense rows": (lambda: SurvivalDataset.from_dense(T2, D2, np.ones((3, 1))),
                    "one row per subject"),
-    "unsorted positions and a stored zero": (lambda: SparseColumnMatrix(
-        3, [(np.array([2, 0]), np.array([1.0, 0.0]))]), REPEAT),
-    "stored zero": (lambda: SparseColumnMatrix(3, [column([0, 2], [1.0, 0.0])]),
-                    "stored zero value in column x1"),
-    "position n": (lambda: SparseColumnMatrix(3, [column([1, 3], [1.0, 1.0])]), REPEAT),
-    "repeated position": (lambda: SparseColumnMatrix(3, [column([1, 1], [1.0, 1.0])]), REPEAT),
-    "non-finite value": (lambda: SparseColumnMatrix(3, [column([], []), column([1], [np.inf])]),
+    "select column -1": (lambda: TWO_COLUMNS.select_columns([0, -1]), "integers in [0, 2)"),
+    "select column p": (lambda: TWO_COLUMNS.select_columns([2]), "integers in [0, 2)"),
+    "unsorted positions and a stored zero": (lambda: matrix(3, ([2, 0], [1.0, 0.0])), REPEAT),
+    "stored zero": (lambda: matrix(3, ([0, 2], [1.0, 0.0])), "stored zero value in column x1"),
+    "position n": (lambda: matrix(3, ([1, 3], [1.0, 1.0])), REPEAT),
+    "repeated position": (lambda: matrix(3, ([1, 1], [1.0, 1.0])), REPEAT),
+    "non-finite value": (lambda: matrix(3, ([], []), ([1], [np.inf])),
                          "non-finite value in column x2"),
     "int32 positions": (lambda: SparseColumnMatrix(
-        3, [(np.array([1], dtype=np.int32), np.array([1.0]))]), "int64 position array"),
-    "positions and values lengths": (lambda: SparseColumnMatrix(3, [column([0, 1], [1.0])]),
-                                     "of one length"),
-    "scale of another length": (lambda: SparseColumnMatrix(3, [column([1], [1.0])],
-                                                           scale=np.ones(2)),
+        3, np.array([1], dtype=np.int32), np.array([1.0]), np.array([0, 1])),
+                        "int64 position array"),
+    "positions and values lengths": (lambda: matrix(3, ([0, 1], [1.0])), "of one length"),
+    "scale of another length": (lambda: matrix(3, ([1], [1.0]), scale=np.ones(2)),
                                 "one entry per column"),
-    # a compressed-column store is checked whole, then by column to name the culprit
-    "store: unsorted second column": (lambda: SparseColumnMatrix.from_csc(
+    # the store is checked whole, then by column to name the culprit
+    "store: unsorted second column": (lambda: SparseColumnMatrix(
         3, *column([2, 2, 1], [1.0, 1.0, 1.0]), np.array([0, 1, 3])), REPEAT),
-    "store: stored zero": (lambda: SparseColumnMatrix.from_csc(
+    "store: stored zero": (lambda: SparseColumnMatrix(
         3, *column([2, 0], [1.0, 0.0]), np.array([0, 1, 2])), "stored zero value in column x2"),
-    "store: position n": (lambda: SparseColumnMatrix.from_csc(
+    "store: position n": (lambda: SparseColumnMatrix(
         3, *column([0, 3], [1.0, 1.0]), np.array([0, 1, 2])), REPEAT),
-    "store: pointers past nnz": (lambda: SparseColumnMatrix.from_csc(
+    "store: pointers past nnz": (lambda: SparseColumnMatrix(
         3, *column([0], [1.0]), np.array([0, 2])), "column pointers"),
+    "store: float pointers": (lambda: SparseColumnMatrix(
+        3, *column([0], [1.0]), np.array([0.0, 1.0])), "one-dimensional int64 array"),
 }
 
 
@@ -474,13 +528,14 @@ def test_standardized_dataset_refuses_save(rng, tmp_path):
         save_dataset(cs, tmp_path / "s.csv", tmp_path / "d.csv", FORMAT_DENSE)
 
 
-def test_column_subset_view_shares_arrays(rng):
+def test_column_subset_copies_the_chosen_columns(rng):
     ds, _ = make_dataset(rng, 20, 6)
-    sub = ds.select_columns([4, 1])
-    assert sub.p == 2
-    assert sub.design.columns[0] is ds.design.columns[4]
-    np.testing.assert_array_equal(sub.design.dense_column(1), ds.design.dense_column(1))
+    sub = ds.select_columns([4, 1, 4])
+    assert sub.p == 3
+    for (pos, val), j in zip(sub.design.columns, [4, 1, 4], strict=True):
+        assert same_bytes(pos, ds.design.columns[j][0]) and same_bytes(val, ds.design.columns[j][1])
     np.testing.assert_array_equal(sub.event_pos, ds.event_pos)
+    assert sub.design.p == 3 and ds.select_columns([]).design.nnz() == 0
 
 
 def held_arrays(ds):

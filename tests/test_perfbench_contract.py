@@ -50,6 +50,18 @@ def test_desk_study_replicate_passes_its_checks(monkeypatch, tmp_path):
     assert store_mb(ds) > 0
 
 
+def test_store_mb_measures_the_one_store(monkeypatch):
+    # data.store_mb adds up the columns; they must be the design's one store, not copies
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # run.py pins BLAS threads
+    from run import store_mb
+
+    ds = sc.simulate(sc.SimScenario(n=120, p=40, beta0=[0.8, 0, 0.6], seed=3))
+    for derived in (ds.select_columns([5, 2, 5, 39]), sc.standardize(ds, "center-and-scale")):
+        design = derived.design
+        assert store_mb(derived) == (design.pos.nbytes + design.val.nbytes) / 1e6 > 0
+
+
 def test_import_loads_neither_scipy_nor_the_process_pool():
     code = ("import sys, sparsecox; print(sorted(m for m in sys.modules "
             "if m.partition('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
