@@ -334,7 +334,7 @@ def standardize(ds, mode):
     offset = np.zeros(p)
     for j, (pos, val) in enumerate(d.columns):
         s1 = float(val.sum())
-        s2 = float(np.dot(val, val))
+        s2 = float((val * val).sum())  # numpy's own sum: BLAS threads would move its bits
         if mode == MODE_CENTER_SCALE:
             mean = s1 / n
             var = (s2 - n * mean * mean) / (n - 1)

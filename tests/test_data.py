@@ -2,6 +2,8 @@ import inspect
 import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -519,6 +521,31 @@ def test_standardize_modes(rng):
     const = SurvivalDataset.from_dense(t, status, np.ones((30, 1)))
     with pytest.raises(ValueError, match="x1"):
         standardize(const, "center-and-scale")
+
+
+_THREAD_STANDARDIZE = """
+import sys
+import numpy as np
+import sparsecox as sc
+rng = np.random.default_rng(1)  # the one-thread and two-thread dot products differ here
+X = rng.standard_normal((12000, 3))
+ds = sc.SurvivalDataset.from_dense(rng.exponential(size=12000), np.ones(12000), X)
+design = sc.standardize(ds, "center-and-scale").design
+sys.stdout.write(" ".join(a.tobytes().hex() for a in (design.scale, design.offset, design.val)))
+"""
+
+
+def test_standardize_does_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product over its threads above 10,000 elements
+    src = str(Path(data.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_STANDARDIZE], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_standardized_dataset_refuses_save(rng, tmp_path):
