@@ -161,7 +161,7 @@ def _entry_design(order, p, rows, cols, vals):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     key = cols * n + rank[rows]
-    srt = np.argsort(key, kind="stable")
+    srt = np.argsort(key)  # the keys differ unless refused below, so any sort gives one order
     key = key[srt]
     repeated = np.flatnonzero(key[1:] == key[:-1])
     if repeated.size:
@@ -263,7 +263,8 @@ class SurvivalDataset:
     def from_columns(cls, time, status, columns):
         """Build from per-column (rows, values) pairs: 0-based input rows in
         any order, n = len(time) and p = len(columns).  Zero values are not
-        stored; a repeated row raises ValueError."""
+        stored; a row given twice in a column raises ValueError, whatever its
+        values."""
         order = _sort_order(time, status)
         n = order.shape[0]
         columns = [(np.asarray(rows), np.asarray(vals, dtype=np.float64))
