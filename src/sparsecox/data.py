@@ -301,10 +301,11 @@ class SurvivalDataset:
     def dense_design_original_order(self):
         """Dense design with rows in the original input order (small data only),
         filled in one n-by-p array."""
-        d = self.design
         X = np.zeros((self.n, self.p))
-        X[self.order[d.pos], np.repeat(np.arange(self.p), np.diff(d.ptr))] = d.val
-        X -= d.offset  # exact where the offset is 0
+        # column by column: nnz-long row and column indices would cost twice X on a dense design
+        for j, (pos, val) in enumerate(self.design.columns):
+            X[self.order[pos], j] = val
+        X -= self.design.offset  # exact where the offset is 0
         return X
 
 
