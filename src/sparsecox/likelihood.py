@@ -1,4 +1,4 @@
-"""Cox log-partial likelihood and per-coordinate derivatives.
+"""The Cox log-partial likelihood state that every solver drives.
 
 All quantities are evaluated in the dataset's descending-time order, where
 each event's risk set is the prefix ending at ``event_end``.  Writing
@@ -16,12 +16,21 @@ after the first nonzero, so an all-zero suffix of a column costs nothing.
 The per-column event offsets come from the dataset's read-only
 ``column_scans``, built once per dataset.
 
-``CoxKernels`` gives the whole score vector and Hessian-vector products in
-O(nnz + n) each.  Writing Lambda_i = sum_{e: i <= end_e} 1/D_e, u = X v,
-S_e = sum_{k <= end_e} w_k u_k and C_i = sum_{e: i <= end_e} S_e / D_e^2,
+The state also gives the score and Hessian-vector products in O(nnz + n)
+each, over the design's compressed-column store.  Writing u = X v,
+Lambda_i = sum_{e: i <= end_e} 1/D_e, S_e = sum_{k <= end_e} w_k u_k and
+C_i = sum_{e: i <= end_e} S_e / D_e^2,
 
     score = X^T (delta - w * Lambda)
     H v   = X^T (w * (Lambda * u - C))          (H: Hessian of -ll)
+
+X^T z is taken in dense semantics (stored value minus the column's offset;
+each z sums to zero, so the offset term only removes rounding), and u over
+the stored values, as eta is: a constant shift of u cancels in Lambda*u - C.
+
+A coordinate probe and a whole-vector probe (beta + t * delta) both give
+the exact log-likelihood change, as log1p of the denominator ratios, or
+None past the overflow limit; each has its own commit.
 
 Every reduction is numpy's own, never a BLAS call, so no result depends on
 the BLAS thread count.  Penalty terms are the solver's business, never
@@ -30,85 +39,17 @@ added here.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import cached_property
+
 import numpy as np
 
-__all__ = ["CoxKernels", "LinearPredictorState"]
+__all__ = ["LinearPredictorState"]
 
 
 def eta_limit(n):
     """Largest |eta| for which a prefix sum of n terms exp(eta) stays finite."""
     return 700.0 - float(np.log(n + 1.0))
-
-
-class CoxKernels:
-    """Score and Hessian-vector products over one dataset's compressed-column
-    design (module docstring).
-
-    X^T z is taken in dense semantics, stored value minus the column's
-    offset; the vectors z given to it sum to zero in exact arithmetic, so the
-    offset term only removes rounding.  A constant shift of u cancels
-    exactly in Lambda * u - C, so ``times`` uses the stored values, as the
-    linear predictor does.
-    """
-
-    def __init__(self, ds):
-        self.ds = ds
-        self.pos, self.val, ptr = ds.design.pos, ds.design.val, ds.design.ptr
-        self.counts = np.diff(ptr)
-        self._nonempty = self.counts > 0
-        # reduceat gives an empty segment its start element, so empty columns are left out
-        self._starts = ptr[:-1][self._nonempty]
-        offset = ds.design.offset
-        self._offset = offset if offset.any() else None
-        self._rows = np.empty(ds.n)
-
-    def times(self, v):
-        """X v over the stored values, length n."""
-        coef = np.repeat(v, self.counts)
-        coef *= self.val
-        return np.bincount(self.pos, weights=coef, minlength=self.ds.n)
-
-    def transpose_times(self, z):
-        """X^T z, length p."""
-        out = np.zeros(self.ds.p)
-        if self._starts.shape[0]:
-            entries = z[self.pos]
-            entries *= self.val
-            out[self._nonempty] = np.add.reduceat(entries, self._starts)
-        if self._offset is not None:
-            out -= self._offset * z.sum()
-        return out
-
-    def _at_risk(self, per_event):
-        """sum_{e: i <= end_e} per_event[e] for every sorted position i."""
-        acc = np.bincount(self.ds.event_end, weights=per_event, minlength=self.ds.n)
-        rev = acc[::-1]
-        np.cumsum(rev, out=rev)
-        return acc
-
-    def risk_weights(self, denom):
-        """Lambda from the risk-set denominators at the events."""
-        return self._at_risk(1.0 / denom)
-
-    def score(self, w, lam):
-        """Gradient of the log-partial likelihood, given w and Lambda."""
-        r = np.multiply(w, lam, out=self._rows)
-        np.negative(r, out=r)
-        r[self.ds.event_pos] += 1.0
-        return self.transpose_times(r)
-
-    def hvp(self, w, denom, lam, v):
-        """Hessian of -loglik times v, given w, the denominators and Lambda."""
-        u = self.times(v)
-        s = np.multiply(w, u, out=self._rows)
-        np.cumsum(s, out=s)
-        per_event = s[self.ds.event_end]
-        per_event /= denom
-        per_event /= denom
-        z = self._at_risk(per_event)
-        np.subtract(lam * u, z, out=z)
-        z *= w
-        return self.transpose_times(z)
 
 
 class _CoordTrial:
@@ -123,6 +64,9 @@ class _CoordTrial:
         self.new_w = new_w
         self.patch = patch
         self.loglik_delta = loglik_delta
+
+
+_StepTrial = namedtuple("_StepTrial", "step new_eta loglik_delta")  # beta + step, uncommitted
 
 
 class LinearPredictorState:
@@ -180,9 +124,55 @@ class LinearPredictorState:
         return g1, min(g2, 0.0)
 
     def full_gradient(self):
-        """g1 of every coordinate, by one score-kernel call."""
-        kernels = CoxKernels(self.ds)
-        return kernels.score(self.w, kernels.risk_weights(self.denom_at_events))
+        """The score: g1 of every coordinate (module docstring)."""
+        r = self.w * self._at_risk(1.0 / self.denom_at_events)
+        np.negative(r, out=r)
+        r[self.ds.event_pos] += 1.0
+        return self._transpose_times(r)
+
+    def hvp(self, v):
+        """Hessian of -loglik times v (module docstring)."""
+        u = self.times(v)
+        per_event = np.cumsum(self.w * u)[self.ds.event_end] / self.denom_at_events
+        per_event /= self.denom_at_events
+        z = self._at_risk(per_event)
+        np.subtract(self._at_risk(1.0 / self.denom_at_events) * u, z, out=z)
+        z *= self.w
+        return self._transpose_times(z)
+
+    def times(self, v):
+        """X v over the stored values, length n."""
+        coef = np.repeat(v, self._csc[0])
+        coef *= self.ds.design.val
+        return np.bincount(self.ds.design.pos, weights=coef, minlength=self.ds.n)
+
+    def _transpose_times(self, z):
+        """X^T z in dense semantics, length p."""
+        _, nonempty, starts, offset = self._csc
+        out = np.zeros(self.ds.p)
+        if starts.shape[0]:
+            entries = z[self.ds.design.pos]
+            entries *= self.ds.design.val
+            out[nonempty] = np.add.reduceat(entries, starts)
+        if offset is not None:
+            out -= offset * z.sum()
+        return out
+
+    @cached_property
+    def _csc(self):
+        """Entries per column, the non-empty columns, their first entries
+        (reduceat gives an empty segment its start element, so empty columns
+        are left out) and the column offsets, None when all are zero."""
+        ptr, offset = self.ds.design.ptr, self.ds.design.offset
+        counts = np.diff(ptr)
+        return counts, counts > 0, ptr[:-1][counts > 0], offset if offset.any() else None
+
+    def _at_risk(self, per_event):
+        """sum_{e: i <= end_e} per_event[e] for every sorted position i."""
+        acc = np.bincount(self.ds.event_end, weights=per_event, minlength=self.ds.n)
+        rev = acc[::-1]
+        np.cumsum(rev, out=rev)
+        return acc
 
     # -- updates ----------------------------------------------------------
 
@@ -221,6 +211,25 @@ class LinearPredictorState:
         self.w[pos] = trial.new_w
         if ev_lo < ds.event_pos.shape[0]:
             self.denom_at_events[ev_lo:] += trial.patch
+
+    def probe_step(self, delta, u, t):
+        """Evaluate beta + t * delta, with u = X delta, without committing it:
+        a trial carrying the log-likelihood change (possibly non-finite), or
+        None when a new |eta| is past the overflow limit or not a number."""
+        ds = self.ds
+        new_eta = self.eta + t * u
+        if not np.abs(new_eta).max() <= self.eta_limit:
+            return None
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            patch = np.cumsum(self.w * np.expm1(t * u))[ds.event_end]
+            dlog = np.log1p(patch / self.denom_at_events)
+            ll_delta = t * float(u[ds.event_pos].sum()) - float(dlog.sum())
+        return _StepTrial(t * delta, new_eta, ll_delta)
+
+    def commit_step(self, trial):
+        self.beta += trial.step
+        self.eta, self.w = trial.new_eta, np.exp(trial.new_eta)
+        self.refresh()
 
     def refresh(self):
         """Rebuild the denominators from w, clearing accumulated patch drift."""

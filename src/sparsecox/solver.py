@@ -27,15 +27,13 @@ A solve converges when one sweep satisfies both |dF| <= _TOL_OBJ * (1 + |F|)
 and max|d beta_j| <= _TOL_BETA, and gives up after _MAX_SWEEPS sweeps.
 
 Truncated Newton (ridge).  Each iteration solves (2 H + 2 xi I) d = -grad F,
-with H the Hessian of -loglik applied by ``CoxKernels.hvp``, by conjugate
-gradients stopped at the Eisenstat-Walker forcing term (Eisenstat & Walker,
-SIAM J. Sci. Comput. 1996), and backtracks from the full step until the
-Armijo condition holds.  The decrease is computed from the change of the
-linear predictor (log1p of the denominator ratios, as a coordinate probe
-does), so it stays exact where F itself no longer resolves it.  A trial
-with max|eta| above the overflow limit or a non-finite decrease is
-rejected.  The solve converges when ||grad F|| <= _NEWTON_GTOL *
-max(1, ||grad F(0)||) and gives up after _NEWTON_MAX iterations.
+with H v from ``LinearPredictorState.hvp``, by conjugate gradients stopped
+at the Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci.
+Comput. 1996), and backtracks from the full step until the Armijo condition
+holds on the state's ``probe_step``, whose exact log-likelihood change stays
+resolved where F itself does not; a step it refuses for overflow or with a
+non-finite decrease is rejected.  The solve converges when ||grad F|| <=
+_NEWTON_GTOL * max(1, ||grad F(0)||) and gives up after _NEWTON_MAX iterations.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import CoxKernels, LinearPredictorState, eta_limit
+from .likelihood import LinearPredictorState
 
 __all__ = ["PenaltySpec", "SolverResult", "ccd_minimize", "newton_ridge"]
 
@@ -224,7 +222,7 @@ def _norm(v):
     return math.sqrt(float((v * v).sum()))
 
 
-def _conjugate_gradients(kernels, w, denom, lam, xi, grad, target):
+def _conjugate_gradients(state, xi, grad, target):
     """d with ||(2 H + 2 xi I) d + grad|| <= target, or the last conjugate
     gradient iterate after p of them."""
     d = np.zeros_like(grad)
@@ -232,7 +230,7 @@ def _conjugate_gradients(kernels, w, denom, lam, xi, grad, target):
     direction = r.copy()
     rr = float((r * r).sum())
     for _ in range(grad.shape[0]):
-        a_dir = kernels.hvp(w, denom, lam, direction)
+        a_dir = state.hvp(direction)
         a_dir += xi * direction
         a_dir *= 2.0
         curv = float((direction * a_dir).sum())
@@ -255,15 +253,11 @@ def newton_ridge(ds, xi):
     (module docstring).  Returns a SolverResult whose ``sweeps`` counts
     Newton iterations; ``converged`` is False when _NEWTON_MAX ran out or no
     halved step met the Armijo condition."""
-    kernels = CoxKernels(ds)
-    events, ends = ds.event_pos, ds.event_end
-    limit = eta_limit(ds.n)
     state = LinearPredictorState(ds, np.zeros(ds.p))
-    beta, eta, w, denom = state.beta, state.eta, state.w, state.denom_at_events
+    beta = state.beta
     f = -2.0 * state.loglik()
     trace = [f]
-    lam = kernels.risk_weights(denom)
-    grad = 2.0 * (xi * beta - kernels.score(w, lam))
+    grad = 2.0 * (xi * beta - state.full_gradient())
     gnorm = _norm(grad)
     tol = _NEWTON_GTOL * max(1.0, gnorm)
     forcing = 0.5
@@ -271,31 +265,24 @@ def newton_ridge(ds, xi):
     iteration = 0
     while not converged and iteration < _NEWTON_MAX:
         iteration += 1
-        step = _conjugate_gradients(kernels, w, denom, lam, xi, grad,
-                                    max(forcing * gnorm, 0.5 * tol))
-        u = kernels.times(step)
+        step = _conjugate_gradients(state, xi, grad, max(forcing * gnorm, 0.5 * tol))
+        u = state.times(step)
         slope = float((grad * step).sum())
         pen_lin, pen_quad = 2.0 * float((beta * step).sum()), float((step * step).sum())
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            trial_eta = eta + t * u
-            if np.abs(trial_eta).max() <= limit:
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    patch = np.cumsum(w * np.expm1(t * u))[ends]
-                    dll = t * float(u[events].sum()) - float(np.log1p(patch / denom).sum())
-                df = -2.0 * dll + xi * t * (pen_lin + t * pen_quad)
+            trial = state.probe_step(step, u, t)
+            if trial is not None:
+                df = -2.0 * trial.loglik_delta + xi * t * (pen_lin + t * pen_quad)
                 if math.isfinite(df) and df <= _ARMIJO * t * slope:
                     break
             t *= 0.5
         else:
             break  # no halved step decreases F: report the solve unconverged
-        beta += t * step
-        eta, w = trial_eta, np.exp(trial_eta)
-        denom = np.cumsum(w)[ends]
+        state.commit_step(trial)
         f += df
         trace.append(f)
-        lam = kernels.risk_weights(denom)
-        grad = 2.0 * (xi * beta - kernels.score(w, lam))
+        grad = 2.0 * (xi * beta - state.full_gradient())
         gnorm, previous = _norm(grad), gnorm
         converged = gnorm <= tol
         # Eisenstat-Walker choice 2 (gamma 0.9, alpha 2), safeguarded

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecox import LinearPredictorState, SurvivalDataset, standardize
-from sparsecox.likelihood import CoxKernels
 
 from conftest import (check_dataset, dense_coord_derivs, dense_loglik, dense_score_and_hessian,
                       make_dataset)
@@ -149,9 +148,20 @@ def test_coord_update_identity_and_zero_column(rng):
 def test_incremental_updates_match_recompute(rng):
     ds, _ = make_dataset(rng, 40, 5)
     st = LinearPredictorState(ds, np.zeros(5))
-    for _ in range(60):
-        j = int(rng.integers(0, 5))
-        st.commit(st.probe_coord_update(j, float(rng.uniform(-0.2, 0.2))))
+    for k in range(60):
+        if k % 10 == 9:  # a whole-vector step now and then
+            delta, t = rng.uniform(-0.2, 0.2, size=5), float(rng.choice([1.0, 0.5, 0.25]))
+            ll = st.loglik()
+            trial = st.probe_step(delta, st.times(delta), t)
+            st.commit_step(trial)
+            assert st.loglik() - ll == pytest.approx(trial.loglik_delta, rel=1e-9, abs=1e-12)
+            fresh = LinearPredictorState(ds, st.beta)
+            for name in ("eta", "w", "denom_at_events"):
+                np.testing.assert_allclose(getattr(st, name), getattr(fresh, name), rtol=1e-9,
+                                           atol=1e-12)
+        else:
+            j = int(rng.integers(0, 5))
+            st.commit(st.probe_coord_update(j, float(rng.uniform(-0.2, 0.2))))
     fresh = LinearPredictorState(ds, st.beta)
     np.testing.assert_allclose(st.eta, fresh.eta, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(st.denom_at_events, fresh.denom_at_events, rtol=1e-9)
@@ -163,6 +173,8 @@ def test_update_overflow_leaves_state_unchanged(rng):
     eta = st.eta.copy()
     denom = st.denom_at_events.copy()
     assert st.probe_coord_update(0, 1e6) is None
+    for delta in (np.array([1e6]), np.array([np.nan])):  # past the limit, or no number at all
+        assert st.probe_step(delta, st.times(delta), 1.0) is None
     np.testing.assert_array_equal(st.eta, eta)
     np.testing.assert_array_equal(st.denom_at_events, denom)
     assert st.beta[0] == 0.0
@@ -204,19 +216,6 @@ def test_scan_memo_is_per_dataset(rng):
 # -- whole-vector kernels ----------------------------------------------------
 
 
-def kernel_score(ds, beta):
-    st_ = LinearPredictorState(ds, beta)
-    kernels = CoxKernels(ds)
-    return kernels.score(st_.w, kernels.risk_weights(st_.denom_at_events))
-
-
-def kernel_hvp(ds, beta, v):
-    st_ = LinearPredictorState(ds, beta)
-    kernels = CoxKernels(ds)
-    lam = kernels.risk_weights(st_.denom_at_events)
-    return kernels.hvp(st_.w, st_.denom_at_events, lam, v)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     times=st.lists(st.integers(1, 4), min_size=1, max_size=12),  # few values: many ties
@@ -245,9 +244,9 @@ def test_score_kernel_matches_coord_derivatives(times, data, p, events, duplicat
         ds = standardize(SurvivalDataset.from_dense(t, status, X), "center-and-scale")
     beta = np.asarray(data.draw(st.lists(st.floats(-1, 1, allow_subnormal=False),
                                          min_size=p, max_size=p)))
-    got = kernel_score(ds, beta)
-    assert got.shape == (p,)
     state = LinearPredictorState(ds, beta)
+    got = state.full_gradient()
+    assert got.shape == (p,)
     for j in range(p):
         g1 = state.coord_derivatives(j)[0]
         assert got[j] == pytest.approx(g1, rel=1e-10, abs=1e-10)
@@ -265,8 +264,9 @@ def test_hvp_matches_finite_differences_of_the_score(rng):
             ds = standardize(ds, "center-and-scale")
         beta = rng.uniform(-1, 1, size=p)
         v = rng.standard_normal(p)
-        fd = (kernel_score(ds, beta - h * v) - kernel_score(ds, beta + h * v)) / (2 * h)
-        np.testing.assert_allclose(kernel_hvp(ds, beta, v), fd, rtol=1e-5,
+        fd = (LinearPredictorState(ds, beta - h * v).full_gradient()
+              - LinearPredictorState(ds, beta + h * v).full_gradient()) / (2 * h)
+        np.testing.assert_allclose(LinearPredictorState(ds, beta).hvp(v), fd, rtol=1e-5,
                                    atol=1e-6 * (1.0 + np.abs(fd).max()))
 
 
@@ -280,10 +280,10 @@ def test_hvp_matches_dense_hessian(rng):
         ds = SurvivalDataset.from_dense(t, status, X)
         beta = rng.uniform(-1, 1, size=p)
         grad, hess = dense_score_and_hessian(t, status, X, beta)
-        np.testing.assert_allclose(kernel_score(ds, beta), grad, rtol=1e-10, atol=1e-10)
+        state = LinearPredictorState(ds, beta)
+        np.testing.assert_allclose(state.full_gradient(), grad, rtol=1e-10, atol=1e-10)
         for v in np.eye(p).tolist() + [rng.standard_normal(p).tolist()]:
             v = np.asarray(v)
-            np.testing.assert_allclose(kernel_hvp(ds, beta, v), -hess @ v, rtol=1e-10,
-                                       atol=1e-10)
+            np.testing.assert_allclose(state.hvp(v), -hess @ v, rtol=1e-10, atol=1e-10)
     empty = SurvivalDataset.from_dense([1.0, 2.0], [1, 1], np.zeros((2, 0)))
-    assert kernel_hvp(empty, np.zeros(0), np.zeros(0)).shape == (0,)
+    assert LinearPredictorState(empty, np.zeros(0)).hvp(np.zeros(0)).shape == (0,)

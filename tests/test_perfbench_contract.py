@@ -34,6 +34,9 @@ def test_tracer_sees_every_layer(monkeypatch):
     for name in ("fit_ridge", "probe", "commit", "derivs", "full_gradient", "refresh",
                  "state_build"):
         assert tracer.calls(name) > 0, name
+    # the ridge start steps whole vectors, so the probe and commit counts stay CCD's own
+    for name in ("probe", "commit"):
+        assert tracer.calls(name, within="fit_ridge") == 0, name
 
 
 def test_desk_study_replicate_passes_its_checks(monkeypatch, tmp_path):
