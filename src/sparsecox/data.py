@@ -95,10 +95,10 @@ class SparseColumnMatrix:
     views of the store.  Inside a dataset, position k is the subject at
     sorted position k of its (time, status).  The dense value of entry
     (k, j) is ``stored - offset[j]``: centering is carried as a per-column
-    offset so that standardization never densifies the storage.
-    ``scale[j]`` maps standardized coefficients back to the original
-    covariate scale (beta_original = beta_stored / scale).  The matrix makes
-    the arrays it is given read-only.
+    offset, finite, so that standardization never densifies the storage.
+    ``scale[j]``, finite and positive, maps standardized coefficients back to
+    the original scale (beta_original = beta_stored / scale).  The matrix
+    makes the arrays it accepts read-only; a refused store is left as given.
     """
 
     def __init__(self, n, pos, val, ptr, scale=None, offset=None, standardization=MODE_NONE):
@@ -114,20 +114,23 @@ class SparseColumnMatrix:
             raise ValueError("column pointers must run from 0 to nnz without decreasing")
         self.n = n = int(n)
         self.p = p = ptr.shape[0] - 1
-        self.scale = np.ones(p) if scale is None else scale
-        self.offset = np.zeros(p) if offset is None else offset
+        self.scale = np.ones(p) if scale is None else np.asarray(scale, dtype=np.float64)
+        self.offset = np.zeros(p) if offset is None else np.asarray(offset, dtype=np.float64)
         if self.scale.shape != (p,) or self.offset.shape != (p,):
             raise ValueError(f"scale and offset must hold one entry per column (p={p})")
+        if not (np.all((self.scale > 0.0) & (self.scale < np.inf))
+                and np.isfinite(self.offset).all()):
+            raise ValueError("scales must be finite and positive, and offsets finite")
         if standardization not in _MODES:
             raise ValueError(f"unknown standardization mode {standardization!r}")
+        bounds = ptr.tolist()
+        if not _store_is_valid(n, pos, val, ptr):
+            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                _check_column(n, j, pos[a:b], val[a:b])
         self.standardization = standardization
         self.pos, self.val, self.ptr = pos, val, ptr
-        _frozen(pos, val, ptr, self.scale, self.offset)
-        bounds = ptr.tolist()
+        _frozen(pos, val, ptr, self.scale, self.offset)  # before the views, so they are read-only
         self.columns = tuple((pos[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-        if not _store_is_valid(n, pos, val, ptr):
-            for j, (col_pos, col_val) in enumerate(self.columns):
-                _check_column(n, j, col_pos, col_val)
 
     def __reduce__(self):  # a pickled copy is rebuilt, so checked and frozen, by the constructor
         return type(self), (self.n, self.pos, self.val, self.ptr, self.scale, self.offset,

@@ -406,6 +406,17 @@ def column(pos, val):
     return np.array(pos, dtype=np.int64), np.array(val, dtype=np.float64)
 
 
+def refused_store(n, pos, val, ptr):
+    """SparseColumnMatrix(n, pos, val, ptr) for a store it must refuse; the
+    refusal must leave the caller's arrays writable."""
+    arrays = (*column(pos, val), np.array(ptr))
+    try:
+        SparseColumnMatrix(n, *arrays)
+    except ValueError:
+        assert all(a.flags.writeable for a in arrays), "a refused store froze its arrays"
+        raise
+
+
 def matrix(n, *columns, **kwargs):
     """The SparseColumnMatrix of the given (positions, values) columns, in one store."""
     ptr = np.cumsum([0] + [len(pos) for pos, _ in columns], dtype=np.int64)
@@ -417,6 +428,7 @@ def matrix(n, *columns, **kwargs):
 T2, D2 = [1.0, 2.0], [1, 1]
 REPEAT = "repeat, are out of order or fall outside"
 DUPLICATE = "duplicate (row, col) entry in column x1"
+SCALE = "scales must be finite and positive, and offsets finite"
 TWO_COLUMNS = SurvivalDataset.from_columns(T2, D2, [([0], [1.0]), ([1], [2.0])])
 MALFORMED = {  # case: (build, the ValueError's message)
     "time zero": (lambda: SurvivalDataset([0.0, 1.0], D2, matrix(2)),
@@ -456,17 +468,24 @@ MALFORMED = {  # case: (build, the ValueError's message)
     "positions and values lengths": (lambda: matrix(3, ([0, 1], [1.0])), "of one length"),
     "scale of another length": (lambda: matrix(3, ([1], [1.0]), scale=np.ones(2)),
                                 "one entry per column"),
+    "offset list of another length": (lambda: matrix(3, ([1], [1.0]), offset=[0.0, 0.0]),
+                                      "one entry per column"),
+    "scale zero": (lambda: matrix(3, ([1], [1.0]), scale=[0.0]), SCALE),
+    "scale negative": (lambda: matrix(3, ([1], [1.0]), scale=[-1.0]), SCALE),
+    "scale nan": (lambda: matrix(3, ([1], [1.0]), scale=[np.nan]), SCALE),
+    "scale infinite": (lambda: matrix(3, ([1], [1.0]), scale=[np.inf]), SCALE),
+    "offset infinite": (lambda: matrix(3, ([1], [1.0]), offset=[np.inf]), SCALE),
+    "offset nan": (lambda: matrix(3, ([1], [1.0]), offset=[np.nan]), SCALE),
     # the store is checked whole, then by column to name the culprit
-    "store: unsorted second column": (lambda: SparseColumnMatrix(
-        3, *column([2, 2, 1], [1.0, 1.0, 1.0]), np.array([0, 1, 3])), REPEAT),
-    "store: stored zero": (lambda: SparseColumnMatrix(
-        3, *column([2, 0], [1.0, 0.0]), np.array([0, 1, 2])), "stored zero value in column x2"),
-    "store: position n": (lambda: SparseColumnMatrix(
-        3, *column([0, 3], [1.0, 1.0]), np.array([0, 1, 2])), REPEAT),
-    "store: pointers past nnz": (lambda: SparseColumnMatrix(
-        3, *column([0], [1.0]), np.array([0, 2])), "column pointers"),
-    "store: float pointers": (lambda: SparseColumnMatrix(
-        3, *column([0], [1.0]), np.array([0.0, 1.0])), "one-dimensional int64 array"),
+    "store: unsorted second column": (
+        lambda: refused_store(3, [2, 2, 1], [1.0, 1.0, 1.0], [0, 1, 3]), REPEAT),
+    "store: stored zero": (lambda: refused_store(3, [2, 0], [1.0, 0.0], [0, 1, 2]),
+                           "stored zero value in column x2"),
+    "store: position n": (lambda: refused_store(3, [0, 3], [1.0, 1.0], [0, 1, 2]), REPEAT),
+    "store: pointers past nnz": (lambda: refused_store(3, [0], [1.0], [0, 2]),
+                                 "column pointers"),
+    "store: float pointers": (lambda: refused_store(3, [0], [1.0], [0.0, 1.0]),
+                              "one-dimensional int64 array"),
 }
 
 
@@ -474,6 +493,13 @@ MALFORMED = {  # case: (build, the ValueError's message)
 def test_malformed_input_is_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_scale_and_offset_lists_become_read_only_float_arrays():
+    design = matrix(3, ([1], [1.0]), scale=[2], offset=[0.5])
+    assert design.scale.tolist() == [2.0] and design.offset.tolist() == [0.5]
+    for a in (design.scale, design.offset):
+        assert a.dtype == np.float64 and not a.flags.writeable
 
 
 def test_no_argument_can_disagree_with_the_data():
