@@ -36,17 +36,20 @@ def detect_design_format(path):
 
 def parse_grid(spec):
     """Grid syntax: 'a:b:logN' / 'a:b:linN' or a comma list of values."""
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return np.asarray([float(tok) for tok in spec.split(",") if tok.strip()])
         lo, hi, kind = spec.split(":")
-        lo, hi = float(lo), float(hi)
-        if kind.startswith("log"):
-            if not (lo > 0 and hi > 0):
-                raise ValueError(f"a log grid needs positive ends, not {spec!r}")
-            return np.logspace(np.log10(lo), np.log10(hi), int(kind[3:]))
-        if kind.startswith("lin"):
-            return np.linspace(lo, hi, int(kind[3:]))
-        raise ValueError(f"unknown grid kind in {spec!r}")
-    return np.asarray([float(tok) for tok in spec.split(",") if tok.strip()])
+        lo, hi, count = float(lo), float(hi), int(kind[3:])
+    except ValueError:
+        kind, count = "", 0
+    if kind[:3] not in ("log", "lin") or count < 0:
+        raise ValueError(f"grid {spec!r} is not a comma list, a:b:logN or a:b:linN")
+    if kind[:3] == "lin":
+        return np.linspace(lo, hi, count)
+    if not (lo > 0 and hi > 0):
+        raise ValueError(f"a log grid needs positive ends, not {spec!r}")
+    return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
 def _add_tuning_flags(sub, lambda_rule=True, screen=True):

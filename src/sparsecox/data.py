@@ -4,11 +4,18 @@ Subjects are kept internally in descending-time order so that every risk set
 {j : T_j >= T_i} is a contiguous prefix of the sorted arrays.  Ties are
 ordered events-before-censorings (stable by input index), and tied event
 times share one risk set per the Breslow convention.  The design is stored
-in that same order as one compressed-column triple (pos, val, ptr), which
-the whole-vector kernels read; each column's (position, value) pair, which
-the coordinate-descent kernels scan, is a view of it.  The constructors
-refuse malformed input with ValueError, so every dataset that exists is
-valid, and every array a dataset holds is read-only.
+in that same order as one compressed-column triple (pos, val, ptr); each
+column's (position, value) pair, which the coordinate-descent kernels scan,
+is a view of it.  The constructors refuse malformed input with ValueError,
+so every dataset that exists is valid, and every array a dataset holds is
+read-only.
+
+The design gives the products that the whole-vector kernels use.  X^T z is
+taken in dense semantics (stored value minus the column's offset; each z
+the likelihood passes sums to zero, so the offset term only removes
+rounding), and X v over the stored values, as eta is: a constant shift of
+every row cancels in the partial likelihood and in its Hessian-vector
+product.
 """
 
 from __future__ import annotations
@@ -113,6 +120,8 @@ class SparseColumnMatrix:
                 and np.all(ptr[1:] >= ptr[:-1])):
             raise ValueError("column pointers must run from 0 to nnz without decreasing")
         self.n = n = int(n)
+        if n < 0:
+            raise ValueError(f"negative row count n={n}")
         self.p = p = ptr.shape[0] - 1
         self.scale = np.ones(p) if scale is None else np.asarray(scale, dtype=np.float64)
         self.offset = np.zeros(p) if offset is None else np.asarray(offset, dtype=np.float64)
@@ -129,7 +138,12 @@ class SparseColumnMatrix:
                 _check_column(n, j, pos[a:b], val[a:b])
         self.standardization = standardization
         self.pos, self.val, self.ptr = pos, val, ptr
-        _frozen(pos, val, ptr, self.scale, self.offset)  # before the views, so they are read-only
+        # reduceat gives an empty segment its start element, so it sums the non-empty columns only
+        self._counts = np.diff(ptr)
+        self._nonempty = self._counts > 0
+        self._starts = ptr[:-1][self._nonempty]
+        _frozen(pos, val, ptr, self.scale, self.offset,  # before the views, so they are read-only
+                self._counts, self._nonempty, self._starts)
         self.columns = tuple((pos[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
     def __reduce__(self):  # a pickled copy is rebuilt, so checked and frozen, by the constructor
@@ -143,6 +157,40 @@ class SparseColumnMatrix:
         if j is None:
             return int(self.ptr[-1])
         return int(self.ptr[j + 1] - self.ptr[j])
+
+    def times(self, v):
+        """X v over the stored values (module docstring), length n.  Only the
+        columns where v is nonzero are gathered when they hold under half the
+        entries (a gather costs twice the whole product per entry); the bits
+        agree, as a zero of v adds exact zeros to row sums that start at +0."""
+        pos, val, counts = self.pos, self.val, self._counts
+        cols = np.flatnonzero(v)
+        if 2 * int(counts[cols].sum()) < pos.shape[0]:
+            ptr, take = self._gather(cols)
+            pos, val, counts, v = pos[take], val[take], np.diff(ptr), v[cols]
+        coef = np.repeat(v, counts)
+        coef *= val
+        # bincount counts in int64 when it is given no entries
+        return np.bincount(pos, weights=coef, minlength=self.n).astype(np.float64, copy=False)
+
+    def transpose_times(self, z):
+        """X^T z in dense semantics (module docstring), length p."""
+        out = np.zeros(self.p)
+        if self._starts.shape[0]:
+            entries = z[self.pos]
+            entries *= self.val
+            out[self._nonempty] = np.add.reduceat(entries, self._starts)
+        if self.offset.any():
+            out -= self.offset * z.sum()
+        return out
+
+    def _gather(self, indices):
+        """Pointers of the given columns' entries laid end to end, and each
+        entry's index in the store."""
+        counts = self._counts[indices]
+        ptr = np.zeros(indices.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        return ptr, np.arange(ptr[-1]) + np.repeat(self.ptr[indices] - ptr[:-1], counts)
 
     def dense_column(self, j):
         """Materialize column j (dense semantics, length n)."""
@@ -292,10 +340,7 @@ class SurvivalDataset:
         if indices.ndim != 1 or indices.size and (indices.min() < 0 or indices.max() >= self.p):
             raise ValueError(f"column indices must be a list of integers in [0, {self.p})")
         d = self.design
-        counts = np.diff(d.ptr)[indices]
-        ptr = np.zeros(indices.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        take = np.arange(ptr[-1]) + np.repeat(d.ptr[indices] - ptr[:-1], counts)
+        ptr, take = d._gather(indices)
         design = SparseColumnMatrix(self.n, d.pos[take], d.val[take], ptr,
                                     scale=d.scale[indices], offset=d.offset[indices],
                                     standardization=d.standardization)

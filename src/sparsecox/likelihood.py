@@ -17,16 +17,12 @@ The per-column event offsets come from the dataset's read-only
 ``column_scans``, built once per dataset.
 
 The state also gives the score and Hessian-vector products in O(nnz + n)
-each, over the design's compressed-column store.  Writing u = X v,
+each, from the design's own products X v and X^T z.  Writing u = X v,
 Lambda_i = sum_{e: i <= end_e} 1/D_e, S_e = sum_{k <= end_e} w_k u_k and
 C_i = sum_{e: i <= end_e} S_e / D_e^2,
 
     score = X^T (delta - w * Lambda)
     H v   = X^T (w * (Lambda * u - C))          (H: Hessian of -ll)
-
-X^T z is taken in dense semantics (stored value minus the column's offset;
-each z sums to zero, so the offset term only removes rounding), and u over
-the stored values, as eta is: a constant shift of u cancels in Lambda*u - C.
 
 A coordinate probe and a whole-vector probe (beta + t * delta) both give
 the exact log-likelihood change, as log1p of the denominator ratios, or
@@ -40,7 +36,6 @@ added here.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +47,8 @@ def eta_limit(n):
     return 700.0 - float(np.log(n + 1.0))
 
 
-class _CoordTrial:
-    """Uncommitted coordinate step: holds everything needed to commit."""
-
-    __slots__ = ("j", "delta", "new_eta", "new_w", "patch", "loglik_delta")
-
-    def __init__(self, j, delta, new_eta, new_w, patch, loglik_delta):
-        self.j = j
-        self.delta = delta
-        self.new_eta = new_eta
-        self.new_w = new_w
-        self.patch = patch
-        self.loglik_delta = loglik_delta
-
-
+# beta[j] + delta, uncommitted; new_eta is None when the step moves no eta
+_CoordTrial = namedtuple("_CoordTrial", "j delta new_eta new_w patch loglik_delta")
 _StepTrial = namedtuple("_StepTrial", "step new_eta loglik_delta")  # beta + step, uncommitted
 
 
@@ -83,12 +66,8 @@ class LinearPredictorState:
         self.ds = ds
         self.beta = beta
         self.eta_limit = eta_limit(ds.n)
-        eta = np.zeros(ds.n)
-        for j in np.flatnonzero(beta):
-            pos, val = ds.design.columns[j]
-            if pos.shape[0]:
-                eta[pos] += beta[j] * val
-        bad = np.flatnonzero(np.abs(eta) > self.eta_limit)
+        eta = ds.design.times(beta)
+        bad = np.flatnonzero(~(np.abs(eta) <= self.eta_limit))  # NaN too
         if bad.size:
             subject = int(ds.order[bad[0]])
             raise OverflowError(
@@ -128,44 +107,17 @@ class LinearPredictorState:
         r = self.w * self._at_risk(1.0 / self.denom_at_events)
         np.negative(r, out=r)
         r[self.ds.event_pos] += 1.0
-        return self._transpose_times(r)
+        return self.ds.design.transpose_times(r)
 
     def hvp(self, v):
         """Hessian of -loglik times v (module docstring)."""
-        u = self.times(v)
+        u = self.ds.design.times(v)
         per_event = np.cumsum(self.w * u)[self.ds.event_end] / self.denom_at_events
         per_event /= self.denom_at_events
         z = self._at_risk(per_event)
         np.subtract(self._at_risk(1.0 / self.denom_at_events) * u, z, out=z)
         z *= self.w
-        return self._transpose_times(z)
-
-    def times(self, v):
-        """X v over the stored values, length n."""
-        coef = np.repeat(v, self._csc[0])
-        coef *= self.ds.design.val
-        return np.bincount(self.ds.design.pos, weights=coef, minlength=self.ds.n)
-
-    def _transpose_times(self, z):
-        """X^T z in dense semantics, length p."""
-        _, nonempty, starts, offset = self._csc
-        out = np.zeros(self.ds.p)
-        if starts.shape[0]:
-            entries = z[self.ds.design.pos]
-            entries *= self.ds.design.val
-            out[nonempty] = np.add.reduceat(entries, starts)
-        if offset is not None:
-            out -= offset * z.sum()
-        return out
-
-    @cached_property
-    def _csc(self):
-        """Entries per column, the non-empty columns, their first entries
-        (reduceat gives an empty segment its start element, so empty columns
-        are left out) and the column offsets, None when all are zero."""
-        ptr, offset = self.ds.design.ptr, self.ds.design.offset
-        counts = np.diff(ptr)
-        return counts, counts > 0, ptr[:-1][counts > 0], offset if offset.any() else None
+        return self.ds.design.transpose_times(z)
 
     def _at_risk(self, per_event):
         """sum_{e: i <= end_e} per_event[e] for every sorted position i."""

@@ -266,7 +266,7 @@ def newton_ridge(ds, xi):
     while not converged and iteration < _NEWTON_MAX:
         iteration += 1
         step = _conjugate_gradients(state, xi, grad, max(forcing * gnorm, 0.5 * tol))
-        u = state.times(step)
+        u = ds.design.times(step)
         slope = float((grad * step).sum())
         pen_lin, pen_quad = 2.0 * float((beta * step).sum()), float((step * step).sum())
         t = 1.0

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,11 @@ def test_parse_grid():
     # log10(0) is -inf, and logspace from it gives nan points
     for spec in ("0:1:log4", "-1:1:log4", "1:0:log4"):
         with pytest.raises(ValueError, match="log grid needs positive ends"):
+            parse_grid(spec)
+    for spec in ("1:2", "1:2:log", "1:2:logx", "1:2:sqrt4", "a:2:lin3", "1:2:3:log4",
+                 "1:2:lin-3", "1,x"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid {spec!r} is not a comma list, a:b:logN or a:b:linN")):
             parse_grid(spec)
 
 

@@ -139,6 +139,57 @@ def test_builders_agree_and_subject_order_does_not_matter(times, data, p, all_ce
                                                         rel=1e-12, abs=1e-12)
 
 
+def column_loop_times(design, v):
+    """X v column by column over the nonzeros of v: the reference for design.times."""
+    out = np.zeros(design.n)
+    for j in np.flatnonzero(v):
+        pos, val = design.columns[j]
+        if pos.shape[0]:
+            out[pos] += v[j] * val
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    p=st.integers(0, 5),
+    data=st.data(),
+    center=st.booleans(),
+    kind=st.sampled_from(["zero", "sparse", "zero on empty columns", "dense"]),
+)
+def test_design_products_match_the_column_loop_and_dense_algebra(n, p, data, center, kind):
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.5])  # mostly zeros: empty columns
+    X = np.asarray(data.draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                                      min_size=n, max_size=n)), dtype=float).reshape(n, p)
+    if center and n >= 2:  # no column may be constant, so rows 0 and 1 differ
+        X[0], X[1] = 1.5, -1.0
+    ds = SurvivalDataset.from_dense(np.arange(1.0, n + 1), np.ones(n), X)
+    if center and n >= 2:
+        ds = standardize(ds, "center-and-scale")
+    design = ds.design
+    stored = np.zeros((n, p))
+    for j, (pos, val) in enumerate(design.columns):
+        stored[pos, j] = val
+
+    magnitude = st.floats(0.25, 3.0)
+    v = np.asarray(data.draw(st.lists(magnitude | magnitude.map(float.__neg__),
+                                      min_size=p, max_size=p)), dtype=float)
+    if kind == "zero":
+        v[:] = 0.0
+    elif kind == "sparse":
+        v[np.asarray(data.draw(st.lists(st.booleans(), min_size=p, max_size=p)), bool)] = 0.0
+    elif kind == "zero on empty columns":
+        v[np.diff(design.ptr) == 0] = 0.0
+    got = design.times(v)
+    assert same_bytes(got, column_loop_times(design, v))
+    np.testing.assert_allclose(got, stored @ v, rtol=1e-13, atol=1e-13)
+
+    z = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    got = design.transpose_times(z)
+    assert got.shape == (p,)
+    np.testing.assert_allclose(got, (stored - design.offset).T @ z, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("fmt", [FORMAT_DENSE, FORMAT_SPARSE])
 def test_save_load_round_trip(rng, tmp_path, fmt):
     ds, _ = make_dataset(rng, 40, 5)
@@ -486,6 +537,7 @@ MALFORMED = {  # case: (build, the ValueError's message)
                                  "column pointers"),
     "store: float pointers": (lambda: refused_store(3, [0], [1.0], [0.0, 1.0]),
                               "one-dimensional int64 array"),
+    "store: negative n": (lambda: refused_store(-3, [], [], [0, 0]), "negative row count n=-3"),
 }
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsecox import LinearPredictorState, SurvivalDataset, standardize
+from sparsecox import (LinearPredictorState, PenaltySpec, SurvivalDataset, ccd_minimize,
+                       standardize)
 
 from conftest import (check_dataset, dense_coord_derivs, dense_loglik, dense_score_and_hessian,
                       make_dataset)
@@ -37,10 +38,17 @@ def test_init_state_matches_dense_product(rng):
         np.testing.assert_allclose(st.eta, (X @ beta)[ds.order], atol=1e-12)
 
 
-def test_init_state_overflow_names_subject(rng):
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_init_state_overflow_names_subject(rng):  # 2 * 1e308 overflows before the state refuses it
     ds, _ = make_dataset(rng, 5, 1)
     with pytest.raises(OverflowError, match="subject"):
         LinearPredictorState(ds, np.array([1e5]))
+    # inf - inf makes eta NaN for subjects 1 and 2, which no comparison with the limit passes
+    ds = SurvivalDataset.from_dense([1, 2, 3], [1, 1, 0], [[2, 2], [2, 2], [0, 0]])
+    for start in (lambda b: LinearPredictorState(ds, b),
+                  lambda b: ccd_minimize(ds, PenaltySpec.ridge(2, 1.0), beta0=b)):
+        with pytest.raises(OverflowError, match=r"subject 2 \(eta=nan\)"):
+            start(np.array([1e308, -1e308]))
 
 
 def test_loglik_hand_values(rng):
@@ -152,7 +160,7 @@ def test_incremental_updates_match_recompute(rng):
         if k % 10 == 9:  # a whole-vector step now and then
             delta, t = rng.uniform(-0.2, 0.2, size=5), float(rng.choice([1.0, 0.5, 0.25]))
             ll = st.loglik()
-            trial = st.probe_step(delta, st.times(delta), t)
+            trial = st.probe_step(delta, ds.design.times(delta), t)
             st.commit_step(trial)
             assert st.loglik() - ll == pytest.approx(trial.loglik_delta, rel=1e-9, abs=1e-12)
             fresh = LinearPredictorState(ds, st.beta)
@@ -174,7 +182,7 @@ def test_update_overflow_leaves_state_unchanged(rng):
     denom = st.denom_at_events.copy()
     assert st.probe_coord_update(0, 1e6) is None
     for delta in (np.array([1e6]), np.array([np.nan])):  # past the limit, or no number at all
-        assert st.probe_step(delta, st.times(delta), 1.0) is None
+        assert st.probe_step(delta, ds.design.times(delta), 1.0) is None
     np.testing.assert_array_equal(st.eta, eta)
     np.testing.assert_array_equal(st.denom_at_events, denom)
     assert st.beta[0] == 0.0
