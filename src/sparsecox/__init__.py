@@ -20,7 +20,7 @@ from .data import (
     to_original_scale,
 )
 from .likelihood import LinearPredictorState
-from .solver import PenaltySpec, SolverResult, ccd_minimize
+from .solver import SolverResult, ccd_minimize
 from .bar import (
     BarConfig,
     BarFit,
@@ -46,7 +46,7 @@ __all__ = [
     "SparseColumnMatrix", "SurvivalDataset", "load_dataset", "save_dataset",
     "standardize", "to_original_scale",
     "LinearPredictorState",
-    "SolverResult", "PenaltySpec", "ccd_minimize",
+    "SolverResult", "ccd_minimize",
     "BarConfig", "BarFit", "PathResult", "fit_ridge", "fit_bar",
     "information_criteria", "path_over", "grouping_bound_check",
     "ScreenResult", "sjs_screen", "sjs_coxbar",

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .solver import PenaltySpec, ccd_minimize, newton_ridge
+from .solver import ccd_minimize, fit_ridge
 from .likelihood import LinearPredictorState
 from .data import MODE_CENTER_SCALE
 
@@ -136,15 +136,6 @@ def information_criteria(loglik, df, n, event_count):
             base + math.log(event_count) * df)
 
 
-def fit_ridge(ds, xi):
-    """Cox ridge fit with uniform weight xi, started from beta = 0 and solved
-    by truncated Newton (``solver.newton_ridge``): ``sweeps`` on the result
-    counts Newton iterations."""
-    if not 0.0 < xi < math.inf:
-        raise ValueError("xi must be positive and finite")
-    return newton_ridge(ds, float(xi))
-
-
 def fit_bar(ds, config=None):
     """Fit the BAR estimator (see module docstring).
 
@@ -172,14 +163,14 @@ def fit_bar(ds, config=None):
     converged = False
     outer = 0
     for outer in range(1, _OUTER_MAX + 1):
-        weights = np.zeros(ds.p)
+        weights = np.full(ds.p, math.inf)  # +inf keeps a locked coordinate at 0
         live = ~frozen
         # Gaussian-prior reweighting: penalty lam * b^2 / (2 prev^2), i.e.
         # prior variance prev^2 / lam against the deviance.  The factor 2
         # matters: without it the ln(n) preset over-thresholds weak signals
         # instead of selecting like a BIC rule; see README.
         weights[live] = 0.5 * lam / beta[live] ** 2
-        inner = ccd_minimize(ds, PenaltySpec(weights, frozen), beta)
+        inner = ccd_minimize(ds, weights, beta)
         sweeps_total += inner.sweeps
         inner_converged = inner_converged and inner.converged
         change = float(np.max(np.abs(inner.beta - beta))) if ds.p else 0.0

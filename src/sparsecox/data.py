@@ -163,6 +163,9 @@ class SparseColumnMatrix:
         columns where v is nonzero are gathered when they hold under half the
         entries (a gather costs twice the whole product per entry); the bits
         agree, as a zero of v adds exact zeros to row sums that start at +0."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.p,):
+            raise ValueError(f"v has shape {v.shape}, expected ({self.p},)")
         pos, val, counts = self.pos, self.val, self._counts
         cols = np.flatnonzero(v)
         if 2 * int(counts[cols].sum()) < pos.shape[0]:

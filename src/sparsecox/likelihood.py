@@ -132,14 +132,14 @@ class LinearPredictorState:
         """Evaluate a coordinate step without committing it.
 
         Returns a trial carrying the exact log-likelihood change, or None
-        when exp(eta) would overflow.
+        when a new |eta| is past the overflow limit or not a number.
         """
         ds = self.ds
         pos, val, ev_lo, ev_idx, sum_delta_x = ds.column_scans[j]
         if pos.shape[0] == 0 or delta == 0.0:
             return _CoordTrial(j, delta, None, None, None, 0.0)
         new_eta = self.eta[pos] + delta * val
-        if np.abs(new_eta).max() > self.eta_limit:
+        if not np.abs(new_eta).max() <= self.eta_limit:
             return None
         new_w = np.exp(new_eta)
         patch = np.cumsum(new_w - self.w[pos])[ev_idx - 1]

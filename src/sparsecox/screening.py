@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .likelihood import LinearPredictorState
-from .solver import PenaltySpec, ccd_minimize
+from .solver import ccd_minimize
 
 __all__ = ["ScreenResult", "sjs_screen", "sjs_coxbar"]
 
@@ -48,10 +48,10 @@ def _top_m(values, m):
 def _polish(ds, keep, start):
     """Unpenalized coordinate-descent refit restricted to the kept set.
     Returns None when the start point is too extreme to refit."""
-    frozen = np.ones(ds.p, dtype=bool)
-    frozen[keep] = False
+    weights = np.full(ds.p, np.inf)  # +inf freezes every column off the kept set
+    weights[keep] = 0.0
     try:
-        fit = ccd_minimize(ds, PenaltySpec.unpenalized(ds.p, frozen), start)
+        fit = ccd_minimize(ds, weights, start)
     except (RuntimeError, OverflowError):
         return None
     start_ll = -0.5 * fit.trace[0]  # exact: the penalty is zero
@@ -113,8 +113,8 @@ def sjs_screen(ds, m):
 
 
 def sjs_coxbar(ds, m, config=None):
-    """Two-stage estimator: screen to at most m columns, fit BAR on the
-    screened columns (a no-copy column view), re-embed with exact zeros
+    """Two-stage estimator: screen to at most m columns, fit BAR on a copy
+    of the screened columns (``select_columns``), re-embed with exact zeros
     off the screened set.  The result carries the screen on ``screen``."""
     # looked up in .bar on each call, so a wrapper installed there
     # (perfbench/tracer.py) sees the BAR stage

@@ -1,11 +1,12 @@
 """Minimizers of F(beta) = -2*loglik(beta) + sum_j w_j beta_j^2: cyclic
-coordinate descent for any weights and frozen set, and a truncated Newton
-solve for the uniform ridge weight xi started at zero.
+coordinate descent for any weight vector, ``ccd_minimize(ds, weights,
+beta0)``, and ``fit_ridge(ds, xi)``, the one ridge fit: truncated Newton for
+the uniform weight xi, started at zero.
 
-Coordinate descent.
-
-Each sweep visits every unfrozen coordinate once and applies a single
-Newton step of the restricted objective, written in the stabilized form
+Coordinate descent.  A weight of +inf freezes its coordinate at +0.0: it is
+never visited and takes no part in the arithmetic.  Each sweep visits every
+other coordinate once and applies a single Newton step of the restricted
+objective, written in the stabilized form
 
     delta = (g1/w_j - beta_j) / (-g2/w_j + 1),
 
@@ -45,38 +46,7 @@ import numpy as np
 
 from .likelihood import LinearPredictorState
 
-__all__ = ["PenaltySpec", "SolverResult", "ccd_minimize", "newton_ridge"]
-
-
-class PenaltySpec:
-    """Per-coordinate quadratic penalty weights plus frozen flags.
-
-    A frozen coordinate is pinned at exactly 0 (the w_j = +inf limit
-    without arithmetic on infinities); its weight entry is ignored.
-    """
-
-    def __init__(self, weights, frozen=None):
-        weights = np.asarray(weights, dtype=np.float64)
-        if frozen is None:
-            frozen = np.zeros(weights.shape[0], dtype=bool)
-        frozen = np.asarray(frozen, dtype=bool)
-        if frozen.shape != weights.shape:
-            raise ValueError("weights and frozen flags have different lengths")
-        live = ~frozen
-        if not np.all(np.isfinite(weights[live])) or np.any(weights[live] < 0.0):
-            raise ValueError("penalty weights must be finite and nonnegative")
-        self.weights = weights
-        self.frozen = frozen
-
-    @classmethod
-    def ridge(cls, p, xi):
-        if xi < 0:
-            raise ValueError("ridge weight must be nonnegative")
-        return cls(np.full(p, float(xi)))
-
-    @classmethod
-    def unpenalized(cls, p, frozen=None):
-        return cls(np.zeros(p), frozen)
+__all__ = ["SolverResult", "ccd_minimize", "fit_ridge"]
 
 
 @dataclass(frozen=True)
@@ -84,7 +54,7 @@ class SolverResult:
     """One solve.  ``loglik`` and ``objective`` are recomputed from scratch
     at exit so they agree with ``beta`` under re-evaluation; ``trace`` is the
     objective at the start and after every accepted step; ``sweeps`` counts
-    coordinate sweeps (ccd_minimize) or Newton iterations (newton_ridge)."""
+    coordinate sweeps (ccd_minimize) or Newton iterations (fit_ridge)."""
 
     beta: np.ndarray
     loglik: float
@@ -122,32 +92,31 @@ def _coord_step(b, g1, g2, w_j):
     return g1 / (-g2 + _EPS_UNPENALIZED)
 
 
-def ccd_minimize(ds, penalty, beta0):
+def ccd_minimize(ds, weights, beta0):
     """Minimize -2*loglik + sum_j w_j beta_j^2 by cyclic coordinate descent.
 
     Parameters
     ----------
     ds : SurvivalDataset
-    penalty : PenaltySpec
+    weights : the p penalty weights w_j >= 0; +inf freezes coordinate j.
     beta0 : starting coefficients; frozen coordinates must be zero.
 
     Returns a SolverResult; ``converged`` is False when _MAX_SWEEPS ran out
     (not an error).  A non-finite objective that survives every step
     halving raises RuntimeError.
     """
-    beta0 = np.asarray(beta0, dtype=np.float64)
-    if beta0.shape[0] != ds.p:
-        raise ValueError("beta0 length does not match p")
-    if not np.all(np.isfinite(beta0)):
-        raise ValueError("beta0 must be finite")
-    if np.any(beta0[penalty.frozen] != 0.0):
-        raise ValueError("frozen coordinates must start at zero")
-
-    weights = penalty.weights
-    live = np.flatnonzero(~penalty.frozen)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (ds.p,):
+        raise ValueError(f"weights have shape {weights.shape}, expected ({ds.p},)")
+    if not np.all(weights >= 0.0):  # NaN too
+        raise ValueError("penalty weights must be nonnegative")
+    frozen = weights == math.inf
+    live = np.flatnonzero(~frozen)
     state = LinearPredictorState(ds, beta0)
     beta = state.beta
-    beta[penalty.frozen] = 0.0
+    if np.any(beta[frozen] != 0.0):
+        raise ValueError("frozen coordinates must start at zero")
+    beta[frozen] = 0.0
 
     ll_run = state.loglik()
     pen_run = float((weights[live] * beta[live] ** 2).sum())
@@ -248,11 +217,15 @@ def _conjugate_gradients(state, xi, grad, target):
     return d
 
 
-def newton_ridge(ds, xi):
-    """Minimize -2*loglik + xi*||beta||^2 from beta = 0 by truncated Newton
-    (module docstring).  Returns a SolverResult whose ``sweeps`` counts
-    Newton iterations; ``converged`` is False when _NEWTON_MAX ran out or no
-    halved step met the Armijo condition."""
+def fit_ridge(ds, xi):
+    """Cox ridge fit: minimize -2*loglik + xi*||beta||^2 from beta = 0 by
+    truncated Newton (module docstring), for a positive, finite xi.  Returns
+    a SolverResult whose ``sweeps`` counts Newton iterations; ``converged``
+    is False when _NEWTON_MAX ran out or no halved step met the Armijo
+    condition."""
+    if not 0.0 < xi < math.inf:
+        raise ValueError("xi must be positive and finite")
+    xi = float(xi)
     state = LinearPredictorState(ds, np.zeros(ds.p))
     beta = state.beta
     f = -2.0 * state.loglik()

@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 
 import sparsecox as sc
 from sparsecox.sim import replicate_seed
-from sparsecox.solver import PenaltySpec, _coord_step, ccd_minimize
+from sparsecox.solver import _coord_step, ccd_minimize
 
 from conftest import dense_loglik, make_dataset
 
@@ -128,10 +128,10 @@ def _coordinate_z(ds, beta, fitted):
 
 def _oracle_z(ds, true_cols):
     """Column |z| at the unpenalised fit restricted to ``true_cols``."""
-    frozen = np.ones(ds.p, dtype=bool)
-    frozen[true_cols] = False
-    fit = ccd_minimize(ds, PenaltySpec.unpenalized(ds.p, frozen), np.zeros(ds.p))
-    return _coordinate_z(ds, fit.beta, ~frozen)
+    weights = np.full(ds.p, np.inf)
+    weights[true_cols] = 0.0
+    fit = ccd_minimize(ds, weights, np.zeros(ds.p))
+    return _coordinate_z(ds, fit.beta, weights == 0.0)
 
 
 def _peak_rss_mb():
@@ -328,7 +328,7 @@ def test_criterion_6c_monotone_descent_everywhere():
         p = int(rng.integers(1, 8))
         ds, _ = make_dataset(rng, n, p)
         w = float(rng.choice([0.0, 0.5, 5.0]))
-        fit = ccd_minimize(ds, PenaltySpec(np.full(p, w)), np.zeros(p))
+        fit = ccd_minimize(ds, np.full(p, w), np.zeros(p))
         assert np.all(np.diff(fit.trace) <= 1e-12)
         checked += 1
     _criterion("6c", True, f"objective trace non-increasing (1e-12 slack) on {checked} fits")
@@ -363,8 +363,7 @@ def test_criterion_6e_one_dimensional_oracle():
     ds = sc.SurvivalDataset.from_dense(t, status, x)
     worst = 0.0
     for xi in (0.0, 0.1, 1.0, 10.0):
-        pen = PenaltySpec.unpenalized(1) if xi == 0.0 else PenaltySpec.ridge(1, xi)
-        fit = ccd_minimize(ds, pen, np.zeros(1))
+        fit = ccd_minimize(ds, np.full(1, xi), np.zeros(1))
         ref = minimize_scalar(
             lambda b: -2.0 * dense_loglik(t, status, x, [b]) + xi * b * b,
             bracket=(-3.0, 0.0, 3.0), method="golden", options={"xtol": 1e-12},

@@ -71,10 +71,10 @@ def test_bar_selects_the_same_support_from_either_ridge_start(monkeypatch):
     for r in range(10):
         ds = simulate(replace(desk_scenario(n=1000, p=100), seed=replicate_seed(20260810, r)))
         newton.append(fit_bar(ds, BarConfig(lambda_rule="bic")))
-    from sparsecox.solver import PenaltySpec, ccd_minimize
+    from sparsecox.solver import ccd_minimize
 
     monkeypatch.setattr(bar, "fit_ridge", lambda ds, xi: ccd_minimize(
-        ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p)))
+        ds, np.full(ds.p, xi), np.zeros(ds.p)))
     for r, fit in enumerate(newton):
         ds = simulate(replace(desk_scenario(n=1000, p=100), seed=replicate_seed(20260810, r)))
         ccd = fit_bar(ds, BarConfig(lambda_rule="bic"))
@@ -164,10 +164,11 @@ def test_bar_support_regrowth_raises(monkeypatch, rng):
     ds = SurvivalDataset.from_dense(t, status, X)
     solve = bar.ccd_minimize
 
-    def reviving_solve(ds, penalty, beta0):
-        fit = solve(ds, penalty, beta0)
-        if penalty.frozen[2]:
-            fit = replace(fit, beta=np.where(penalty.frozen, 0.5, fit.beta))
+    def reviving_solve(ds, weights, beta0):
+        fit = solve(ds, weights, beta0)
+        frozen = weights == np.inf
+        if frozen[2]:
+            fit = replace(fit, beta=np.where(frozen, 0.5, fit.beta))
         return fit
 
     monkeypatch.setattr(bar, "ccd_minimize", reviving_solve)
@@ -187,9 +188,9 @@ def test_bar_converged_covers_every_inner_solve(monkeypatch, rng):
 
     solve, calls = bar.ccd_minimize, []
 
-    def first_outer_unconverged(ds, penalty, beta0):
+    def first_outer_unconverged(ds, weights, beta0):
         calls.append(None)
-        fit = solve(ds, penalty, beta0)
+        fit = solve(ds, weights, beta0)
         return replace(fit, converged=False) if len(calls) == 2 else fit
 
     monkeypatch.setattr(bar, "ccd_minimize", first_outer_unconverged)
@@ -236,13 +237,12 @@ def test_bar_fixed_point_residual(rng):
     ds = simulate(scen)
     fit = fit_bar(ds, BarConfig(lambda_rule="bic"))
     assert fit.converged
-    from sparsecox.solver import PenaltySpec, ccd_minimize
+    from sparsecox.solver import ccd_minimize
 
-    frozen = fit.beta == 0.0
-    weights = np.zeros(ds.p)
-    live = ~frozen
+    weights = np.full(ds.p, np.inf)
+    live = fit.beta != 0.0
     weights[live] = 0.5 * fit.lam / np.abs(fit.beta[live]) ** 2
-    again = ccd_minimize(ds, PenaltySpec(weights, frozen), fit.beta)
+    again = ccd_minimize(ds, weights, fit.beta)
     assert np.max(np.abs(again.beta - fit.beta)) < bar._OUTER_TOL
 
 

@@ -190,6 +190,16 @@ def test_design_products_match_the_column_loop_and_dense_algebra(n, p, data, cen
     np.testing.assert_allclose(got, (stored - design.offset).T @ z, rtol=1e-12, atol=1e-12)
 
 
+def test_design_times_refuses_a_vector_of_another_length():
+    # column 0 holds 1 of the 7 entries, so a short or long v took the gather path unchecked
+    X = [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]]
+    design = SurvivalDataset.from_dense([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], X).design
+    for v in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="expected"):
+            design.times(np.array(v))
+    assert same_bytes(design.times(np.array([1.0, 0.0, 0.0])), np.array([2.0, 0.0, 0.0, 0.0]))
+
+
 @pytest.mark.parametrize("fmt", [FORMAT_DENSE, FORMAT_SPARSE])
 def test_save_load_round_trip(rng, tmp_path, fmt):
     ds, _ = make_dataset(rng, 40, 5)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsecox import (LinearPredictorState, PenaltySpec, SurvivalDataset, ccd_minimize,
-                       standardize)
+from sparsecox import LinearPredictorState, SurvivalDataset, ccd_minimize, likelihood, standardize
 
 from conftest import (check_dataset, dense_coord_derivs, dense_loglik, dense_score_and_hessian,
                       make_dataset)
@@ -46,7 +45,7 @@ def test_init_state_overflow_names_subject(rng):  # 2 * 1e308 overflows before t
     # inf - inf makes eta NaN for subjects 1 and 2, which no comparison with the limit passes
     ds = SurvivalDataset.from_dense([1, 2, 3], [1, 1, 0], [[2, 2], [2, 2], [0, 0]])
     for start in (lambda b: LinearPredictorState(ds, b),
-                  lambda b: ccd_minimize(ds, PenaltySpec.ridge(2, 1.0), beta0=b)):
+                  lambda b: ccd_minimize(ds, np.ones(2), beta0=b)):
         with pytest.raises(OverflowError, match=r"subject 2 \(eta=nan\)"):
             start(np.array([1e308, -1e308]))
 
@@ -186,6 +185,62 @@ def test_update_overflow_leaves_state_unchanged(rng):
     np.testing.assert_array_equal(st.eta, eta)
     np.testing.assert_array_equal(st.denom_at_events, denom)
     assert st.beta[0] == 0.0
+
+
+def test_coord_probe_refuses_a_nan_eta():
+    ds = SurvivalDataset.from_dense([1, 2, 3], [1, 1, 0], [[2], [1], [0.5]])
+    state = LinearPredictorState(ds, np.zeros(1))
+    assert state.probe_coord_update(0, np.nan) is None
+
+
+def _near_the_limit(limit):
+    """Magnitudes at, just inside and just past the overflow limit, their
+    halves and thirds, and anything in between."""
+    edges = [limit, np.nextafter(limit, 0.0), np.nextafter(limit, np.inf), limit / 2, limit / 3]
+    mag = st.sampled_from(edges) | st.floats(0.0, 1.1 * limit)
+    return mag | mag.map(float.__neg__)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), p=st.integers(1, 3), data=st.data())
+def test_overflow_boundary_of_builds_and_probes(n, p, data):
+    # a probe inside the limit may still give a non-finite change: patch / D
+    # overflows when D is near exp(-limit); the solvers refuse such trials
+    limit = likelihood.eta_limit(n)
+    entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])
+    X = np.asarray(data.draw(st.lists(st.lists(entries, min_size=p, max_size=p),
+                                      min_size=n, max_size=n))).reshape(n, p)
+    status = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ds = SurvivalDataset.from_dense(np.arange(1.0, n + 1), status, X)
+    X = X[ds.order]
+
+    beta = np.asarray(data.draw(st.lists(_near_the_limit(limit), min_size=p, max_size=p)))
+    eta = np.zeros(n)
+    for j in range(p):  # X beta, column by column as the design adds it up
+        eta += X[:, j] * beta[j]
+    if not np.all(np.abs(eta) <= limit):
+        with pytest.raises(OverflowError):
+            LinearPredictorState(ds, beta)
+        beta = np.zeros(p)
+        eta = np.zeros(n)
+    state = LinearPredictorState(ds, beta)
+    np.testing.assert_array_equal(state.eta, eta)
+
+    delta = data.draw(_near_the_limit(limit) | st.sampled_from([np.nan, np.inf, -np.inf]))
+    j = data.draw(st.integers(0, p - 1))
+    moved = X[:, j] != 0.0
+    new_eta = eta[moved] + delta * X[moved, j]
+    trial = state.probe_coord_update(j, delta)
+    assert (trial is None) == (not np.all(np.abs(new_eta) <= limit))
+    if trial is not None and moved.any() and delta != 0.0:
+        np.testing.assert_array_equal(trial.new_eta, new_eta)
+
+    step = np.asarray(data.draw(st.lists(_near_the_limit(limit), min_size=p, max_size=p)))
+    t = data.draw(st.sampled_from([1.0, 0.5, 2.0 ** -10]))
+    u = ds.design.times(step)
+    refused = not np.all(np.abs(eta + t * u) <= limit)
+    assert (state.probe_step(step, u, t) is None) == refused
 
 
 def test_full_gradient(rng):

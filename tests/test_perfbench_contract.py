@@ -53,6 +53,21 @@ def test_desk_study_replicate_passes_its_checks(monkeypatch, tmp_path):
     assert store_mb(ds) > 0
 
 
+def test_screen_highdim_replicate_passes_its_checks(monkeypatch, tmp_path):
+    # the checks read fit.screen, and screen.selected and screen.beta of the polish's last refit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # run.py pins BLAS threads
+    from workloads import ScreenHighdim
+
+    wl = ScreenHighdim(seed=5)
+    wl.prepare(sc, tmp_path)
+    ds = wl.produce(sc, 0)
+    fit = wl.fit(sc, ds)
+    assert fit.screen is not None and 0 < fit.screen.selected.size <= wl.m
+    assert wl.check(sc, 0, ds, fit) == []
+    assert wl.summary_problems() == []
+
+
 def test_store_mb_measures_the_one_store(monkeypatch):
     # data.store_mb adds up the columns; they must be the design's one store, not copies
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -9,7 +9,6 @@ from scipy.optimize import minimize_scalar
 from sparsecox import (
     BarConfig,
     LinearPredictorState,
-    PenaltySpec,
     SimScenario,
     SurvivalDataset,
     ccd_minimize,
@@ -18,7 +17,7 @@ from sparsecox import (
 )
 from sparsecox import likelihood, solver
 from sparsecox.sim import replicate_seed
-from sparsecox.solver import _coord_step, newton_ridge
+from sparsecox.solver import _coord_step, fit_ridge
 
 from conftest import dense_loglik, make_dataset
 
@@ -75,7 +74,7 @@ def test_step_matches_unstabilized_newton(beta_j, g1, g2, phi):
 
 def test_zero_design_converges_first_sweep():
     ds = SurvivalDataset.from_dense([1.0, 2.0, 3.0], [1, 0, 1], np.zeros((3, 2)))
-    fit = ccd_minimize(ds, PenaltySpec.ridge(2, 1.0), np.zeros(2))
+    fit = ccd_minimize(ds, np.full(2, 1.0), np.zeros(2))
     assert fit.sweeps == 1 and fit.converged
     np.testing.assert_array_equal(fit.beta, np.zeros(2))
     assert fit.support.size == 0
@@ -83,7 +82,7 @@ def test_zero_design_converges_first_sweep():
 
 def test_single_covariate_unpenalized_matches_golden(rng):
     ds, (t, status, x) = single_covariate_dataset(rng)
-    fit = ccd_minimize(ds, PenaltySpec.unpenalized(1), np.zeros(1))
+    fit = ccd_minimize(ds, np.zeros(1), np.zeros(1))
     ref = golden_1d(lambda b: -2.0 * dense_loglik(t, status, x, [b]))
     assert fit.beta[0] == pytest.approx(ref, abs=1e-6)
 
@@ -91,7 +90,7 @@ def test_single_covariate_unpenalized_matches_golden(rng):
 @pytest.mark.parametrize("xi", [0.1, 1.0, 10.0])
 def test_single_covariate_ridge_matches_golden(rng, xi):
     ds, (t, status, x) = single_covariate_dataset(rng)
-    fit = ccd_minimize(ds, PenaltySpec.ridge(1, xi), np.zeros(1))
+    fit = ccd_minimize(ds, np.full(1, xi), np.zeros(1))
     ref = golden_1d(lambda b: -2.0 * dense_loglik(t, status, x, [b]) + xi * b * b)
     assert fit.beta[0] == pytest.approx(ref, abs=1e-6)
 
@@ -99,14 +98,14 @@ def test_single_covariate_ridge_matches_golden(rng, xi):
 def test_objective_trace_monotone(rng):
     for _ in range(5):
         ds, _ = make_dataset(rng, 40, 6)
-        fit = ccd_minimize(ds, PenaltySpec.ridge(6, 0.5), np.zeros(6))
+        fit = ccd_minimize(ds, np.full(6, 0.5), np.zeros(6))
         assert np.all(np.diff(fit.trace) <= 1e-12)
 
 
 def test_frozen_coordinates_stay_bit_exact_zero(rng):
     ds, _ = make_dataset(rng, 30, 5)
     frozen = np.array([True, False, True, False, False])
-    fit = ccd_minimize(ds, PenaltySpec(np.ones(5), frozen), np.zeros(5))
+    fit = ccd_minimize(ds, np.where(frozen, np.inf, 1.0), np.zeros(5))
     for j in (0, 2):
         # bit pattern of positive zero
         assert fit.beta[j] == 0.0 and np.signbit(fit.beta[j]) == False  # noqa: E712
@@ -117,14 +116,14 @@ def test_frozen_must_start_at_zero(rng):
     ds, _ = make_dataset(rng, 10, 2)
     frozen = np.array([True, False])
     with pytest.raises(ValueError, match="frozen"):
-        ccd_minimize(ds, PenaltySpec(np.ones(2), frozen), np.array([0.5, 0.0]))
+        ccd_minimize(ds, np.where(frozen, np.inf, 1.0), np.array([0.5, 0.0]))
 
 
 def test_ridge_shrinkage_monotone_toward_zero(rng):
     ds, _ = make_dataset(rng, 60, 4, beta_scale=0.8)
     norms = []
     for w in (1.0, 10.0, 100.0, 1000.0):
-        fit = ccd_minimize(ds, PenaltySpec.ridge(4, w), np.zeros(4))
+        fit = ccd_minimize(ds, np.full(4, w), np.zeros(4))
         norms.append(np.linalg.norm(fit.beta))
     assert all(norms[k + 1] < norms[k] for k in range(3))
 
@@ -133,14 +132,14 @@ def test_column_permutation_robustness(rng):
     ds, (t, status, X) = make_dataset(rng, 80, 5, beta_scale=0.6)
     perm = rng.permutation(5)
     ds_perm = SurvivalDataset.from_dense(t, status, X[:, perm])
-    fit = ccd_minimize(ds, PenaltySpec.ridge(5, 1.0), np.zeros(5))
-    fit_perm = ccd_minimize(ds_perm, PenaltySpec.ridge(5, 1.0), np.zeros(5))
+    fit = ccd_minimize(ds, np.full(5, 1.0), np.zeros(5))
+    fit_perm = ccd_minimize(ds_perm, np.full(5, 1.0), np.zeros(5))
     assert np.max(np.abs(fit.beta[perm] - fit_perm.beta)) < 1e-6
 
 
 def test_result_self_consistent(rng):
     ds, (t, status, X) = make_dataset(rng, 35, 3)
-    fit = ccd_minimize(ds, PenaltySpec.ridge(3, 2.0), np.zeros(3))
+    fit = ccd_minimize(ds, np.full(3, 2.0), np.zeros(3))
     ll = dense_loglik(t, status, X, fit.beta)
     assert fit.loglik == pytest.approx(ll, rel=1e-8)
     assert fit.objective == pytest.approx(-2 * ll + 2.0 * np.sum(fit.beta**2), rel=1e-8)
@@ -150,17 +149,20 @@ def test_result_self_consistent(rng):
 def test_max_sweeps_flags_nonconvergence(rng, monkeypatch):
     ds, _ = make_dataset(rng, 60, 4, beta_scale=0.8)
     monkeypatch.setattr(solver, "_MAX_SWEEPS", 1)
-    fit = ccd_minimize(ds, PenaltySpec.ridge(4, 0.1), np.zeros(4))
+    fit = ccd_minimize(ds, np.full(4, 0.1), np.zeros(4))
     assert not fit.converged and fit.sweeps == 1
 
 
-def test_penalty_spec_validation():
-    with pytest.raises(ValueError):
-        PenaltySpec(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        PenaltySpec(np.array([1.0, np.inf]))
-    # non-finite weight is fine on a frozen coordinate
-    PenaltySpec(np.array([1.0, np.inf]), np.array([False, True]))
+def test_penalty_weights_validation():
+    ds = SurvivalDataset.from_dense([1.0, 2.0, 3.0], [1, 0, 1],
+                                    [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]])
+    for weights in ([1.0, -0.5], [1.0, np.nan], [1.0, -np.inf], [1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="weights"):
+            ccd_minimize(ds, np.array(weights), np.zeros(2))
+    # +inf freezes a coordinate: it is never visited and stays at +0.0
+    fit = ccd_minimize(ds, np.array([1.0, np.inf]), np.zeros(2))
+    assert fit.beta[1] == 0.0 and not np.signbit(fit.beta[1])
+    assert fit.objective == -2.0 * fit.loglik + fit.beta[0] ** 2
 
 
 def test_halving_stops_at_rounding_floor(monkeypatch):
@@ -252,7 +254,7 @@ def _scripted_fit(monkeypatch, outcomes):
     state = _ScriptedState(outcomes)
     monkeypatch.setattr(solver, "LinearPredictorState", state)
     ds = SurvivalDataset.from_dense([1.0, 2.0], [1, 1], np.ones((2, 1)))
-    return state, ccd_minimize(ds, PenaltySpec.unpenalized(1), np.zeros(1))
+    return state, ccd_minimize(ds, np.zeros(1), np.zeros(1))
 
 
 def test_overflow_and_nonfinite_trials_keep_halving(monkeypatch):
@@ -270,7 +272,7 @@ def test_overflow_on_every_halving_raises(monkeypatch):
         _scripted_fit(monkeypatch, [])
 
 
-# -- newton_ridge ----------------------------------------------------------
+# -- fit_ridge ------------------------------------------------------------
 
 
 def newton_datasets(rng):
@@ -286,8 +288,8 @@ def newton_datasets(rng):
 
 def test_newton_ridge_matches_coordinate_descent(rng):
     for ds, xi in newton_datasets(rng):
-        newton = newton_ridge(ds, xi)
-        ccd = ccd_minimize(ds, PenaltySpec.ridge(ds.p, xi), np.zeros(ds.p))
+        newton = fit_ridge(ds, xi)
+        ccd = ccd_minimize(ds, np.full(ds.p, xi), np.zeros(ds.p))
         assert newton.converged and ccd.converged
         assert newton.objective <= ccd.objective + 4 * math.ulp(ccd.objective)
         assert np.max(np.abs(newton.beta - ccd.beta)) <= 1e-5
@@ -300,7 +302,7 @@ def test_newton_ridge_matches_coordinate_descent(rng):
 
 def test_newton_ridge_stops_on_the_gradient_norm(rng):
     ds, _ = make_dataset(rng, 80, 5, beta_scale=0.8)
-    fit = newton_ridge(ds, 0.5)
+    fit = fit_ridge(ds, 0.5)
     grad = 2.0 * (0.5 * fit.beta - LinearPredictorState(ds, fit.beta).full_gradient())
     start = 2.0 * np.linalg.norm(LinearPredictorState(ds, np.zeros(ds.p)).full_gradient())
     assert fit.converged and 1 <= fit.sweeps < solver._NEWTON_MAX
@@ -310,7 +312,7 @@ def test_newton_ridge_stops_on_the_gradient_norm(rng):
 def test_newton_ridge_zero_design_and_no_columns():
     for X in (np.zeros((3, 2)), np.zeros((3, 0))):
         ds = SurvivalDataset.from_dense([1.0, 2.0, 3.0], [1, 0, 1], X)
-        fit = newton_ridge(ds, 1.0)
+        fit = fit_ridge(ds, 1.0)
         assert fit.converged and fit.sweeps == 0
         np.testing.assert_array_equal(fit.beta, np.zeros(X.shape[1]))
         assert fit.trace.shape == (1,) and fit.objective == fit.trace[0]
@@ -318,15 +320,15 @@ def test_newton_ridge_zero_design_and_no_columns():
 
 def test_newton_ridge_rejects_steps_past_the_overflow_limit(rng, monkeypatch):
     ds, _ = make_dataset(rng, 60, 3, beta_scale=1.5)
-    free = newton_ridge(ds, 0.01)
+    free = fit_ridge(ds, 0.01)
     with monkeypatch.context() as m:
         m.setattr(solver, "_NEWTON_MAX", 1)
-        first = newton_ridge(ds, 0.01)
+        first = fit_ridge(ds, 0.01)
     # the first full step reaches |eta| = reach; cap eta well below it
     reach = np.abs(LinearPredictorState(ds, first.beta).eta).max()
     limit = 0.25 * reach
     monkeypatch.setattr(likelihood, "eta_limit", lambda n: limit)
-    fit = newton_ridge(ds, 0.01)
+    fit = fit_ridge(ds, 0.01)
     assert np.all(np.isfinite(fit.beta)) and np.isfinite(fit.objective)
     assert np.abs(LinearPredictorState(ds, fit.beta).eta).max() <= limit * (1 + 1e-12)
     assert np.all(np.diff(fit.trace) <= 0.0)
@@ -336,6 +338,6 @@ def test_newton_ridge_rejects_steps_past_the_overflow_limit(rng, monkeypatch):
 def test_newton_ridge_iteration_cap_flags_nonconvergence(rng, monkeypatch):
     ds, _ = make_dataset(rng, 60, 4, beta_scale=0.8)
     monkeypatch.setattr(solver, "_NEWTON_MAX", 1)
-    fit = newton_ridge(ds, 0.1)
+    fit = fit_ridge(ds, 0.1)
     assert not fit.converged and fit.sweeps == 1
     assert fit.trace.shape == (2,) and fit.trace[1] < fit.trace[0]
